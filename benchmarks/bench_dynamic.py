@@ -6,10 +6,11 @@ the properties the subsystem promises:
 1. **Unroll vs feed-forward** — statically-resolvable loop programs run
    through ``run_dynamic`` twice: ``allow_unroll=True`` (expand, then
    the ordinary distribution-sampling simulator — one density-matrix
-   evolution total) and ``allow_unroll=False`` (forced per-shot
-   trajectories — one evolution *per shot*).  Gate: the unrolled path is
-   bit-identical to simulating the expanded flat circuit under the same
-   seed, so caching unrolled artifacts is sound.
+   evolution total) and ``allow_unroll=False`` (forced trajectories —
+   one evolution per distinct measurement history, plus a per-shot walk
+   of the instructions and an RNG draw per measurement).  Gate: the
+   unrolled path is bit-identical to simulating the expanded flat
+   circuit under the same seed, so caching unrolled artifacts is sound.
 
 2. **Feed-forward accuracy** — every dynamic-suite workload's empirical
    distribution is checked against the exact tree walk
@@ -34,9 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 from conftest import print_table
 
@@ -104,10 +108,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     failures: List[str] = []
 
     # --- 1. unroll-then-cache vs per-shot branching --------------------
-    # Noisy execution: the trajectory engine pays one density-matrix
-    # evolution per shot, the unrolled path pays one total plus a
-    # multinomial draw — that gap is exactly what expand_control_flow
-    # buys on resolvable programs.
+    # Noisy execution: the trajectory engine evolves each distinct
+    # measurement history once but still walks the program and draws
+    # per shot; the unrolled path pays one evolution plus a multinomial
+    # draw — that gap is what expand_control_flow buys on resolvable
+    # programs.
     resolvable = [("echo_loop", dynamic_circuit("echo_loop"), 2),
                   ("nested_echo", nested_echo(), 4)]
     unroll_rows: List[List[object]] = []
@@ -256,6 +261,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     with open(ARTIFACT, "w") as fh:
         json.dump({"smoke": bool(args.smoke), "seed": args.seed,
+                   "host": {"cores": os.cpu_count(),
+                            "python": platform.python_version(),
+                            "numpy": np.__version__},
                    "unroll_vs_branching": unroll_artifact,
                    "feedforward_accuracy": accuracy_artifact,
                    "scheduler_cache": cache_artifact,

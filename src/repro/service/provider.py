@@ -628,12 +628,14 @@ class QuantumProvider:
             self._closed = True
             jobs = list(self._jobs.values())
         if not wait:
-            # Cancel in submission order so the store's transition
-            # history — and therefore what a resume sees — does not
-            # depend on pool-thread timing.
+            # Drain the queue first so the worker cannot start a later
+            # job while earlier ones are being cancelled; then record
+            # the cancellations in submission order (cancel() on an
+            # already-cancelled future succeeds and fires the store
+            # hook).
+            self._pool.shutdown(wait=False, cancel_futures=True)
             for job in jobs:
                 job.cancel()
-            self._pool.shutdown(wait=False, cancel_futures=True)
         else:
             self._pool.shutdown(wait=True)
         self.compile_service.shutdown(wait=wait)

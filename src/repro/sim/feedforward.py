@@ -2,12 +2,15 @@
 
 Two engines for circuits whose control flow survives static expansion:
 
-- :func:`run_dynamic` — the *noisy* engine.  Each shot evolves its own
-  density matrix; a mid-circuit ``measure`` samples the marginal
-  probability, projects and renormalizes the state, and records the
-  clbit (readout confusion is applied to the recorded bit, matching the
+- :func:`run_dynamic` — the *noisy* engine.  Shots are sampled one by
+  one: a mid-circuit ``measure`` samples the marginal probability,
+  projects and renormalizes the density matrix, and records the clbit
+  (readout confusion is applied to the recorded bit, matching the
   static path's end-of-circuit confusion model); conditions then steer
-  which bodies run.  Statically-resolvable circuits take a fast path:
+  which bodies run.  Evolution is memoized in a trie keyed by the
+  measurement record, so each distinct history is evolved once, not
+  once per shot; counts are bit-identical to per-shot replay under any
+  seed.  Statically-resolvable circuits take a fast path:
   they are expanded and delegated to the ordinary distribution-sampling
   simulator, which makes unrolled and feed-forward execution
   **bit-identical** under the same seed — the equivalence the
@@ -33,9 +36,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.controlflow import (ControlFlowOp, ForLoopOp, IfElseOp,
-                                    WhileLoopOp, has_control_flow,
-                                    written_clbits_of)
+from ..circuits.controlflow import (ForLoopOp, IfElseOp, WhileLoopOp,
+                                    has_control_flow, written_clbits_of)
 from .density_matrix import SimulationResult, _TensorOps
 from .kernels import apply_kraus, apply_to_statevector, initial_state_tensor
 from .noise_model import NoiseModel
@@ -51,6 +53,10 @@ _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 #: Branches lighter than this probability are pruned from the tree walk.
 _PRUNE = 1e-12
+
+#: Bytes of trie states one trajectory run keeps.  Past it, new nodes
+#: drop theirs and rebuild it on demand from the nearest ancestor.
+_MEMO_BYTES = 32 * 2 ** 20
 
 
 def _expand(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -90,8 +96,31 @@ def _trace(rho: np.ndarray, n: int) -> float:
     return float(np.real(np.trace(rho.reshape(2 ** n, 2 ** n))))
 
 
+class _Branch:
+    """A trie node: one ``(outcome, recorded bit)`` measurement history,
+    the static ops queued since (``segment``), the next measurement's
+    ``qubit``/``p_one``, and — within the memo budget — its pre-measure
+    ``state``."""
+
+    __slots__ = ("parent", "outcome", "segment", "qubit", "p_one",
+                 "state", "children")
+
+    def __init__(self, parent=None, outcome: int = 0) -> None:
+        self.parent, self.outcome = parent, outcome
+        self.segment: List[Tuple[object, float]] = []
+        self.qubit, self.p_one, self.state = -1, None, None
+        self.children: Dict[Tuple[int, int], "_Branch"] = {}
+
+
 class _TrajectoryRunner:
-    """One program's shot-by-shot feed-forward executor."""
+    """One program's feed-forward executor over a measurement-record trie.
+
+    Each shot walks the instructions, steered by its own bits, but only
+    queues static ops; a node evolves its segment (the root's is the
+    shared prefix) when a shot first reaches its measurement, and later
+    shots with that history reuse its ``p_one``.  Ops after the last
+    measurement never run: they cannot change the counts.
+    """
 
     def __init__(self, circuit: QuantumCircuit,
                  noise_model: Optional[NoiseModel],
@@ -103,6 +132,7 @@ class _TrajectoryRunner:
         self.noise_model = noise_model
         self.error_scales = error_scales
         self.rng = rng
+        self.memo_bytes = 0
         # for_loop bodies with a loop parameter are rebound per index
         # value; memoize per (op, value) so the binding cost is paid
         # once per program, not once per shot.
@@ -131,21 +161,47 @@ class _TrajectoryRunner:
                                        inst.qubits[:channel.num_qubits])
         return rho
 
-    def _measure(self, rho: np.ndarray, qubit: int, clbit: int,
-                 bits: Dict[int, int]) -> np.ndarray:
-        p_one = _prob_one(rho, qubit, self.n)
-        outcome = 1 if self.rng.random() < p_one else 0
-        rho = apply_kraus(rho, (_PROJECTORS[outcome],), (qubit,), self.n)
-        trace = _trace(rho, self.n)
-        if trace > 0.0:
-            rho = rho / trace
+    def _materialize(self, node: _Branch) -> np.ndarray:
+        """Pre-measure state of *node*, replaying its segments (and any
+        whose state fell outside the budget) from the nearest ancestor
+        that kept one — the same float sequence either way."""
+        path: List[_Branch] = []
+        while node is not None and node.state is None:
+            path.append(node)
+            node = node.parent
+        rho = self.ops.initial() if node is None else node.state
+        for branch in reversed(path):
+            if branch.parent is not None:
+                rho = apply_kraus(rho, (_PROJECTORS[branch.outcome],),
+                                  (branch.parent.qubit,), self.n)
+                trace = _trace(rho, self.n)
+                if trace > 0.0:
+                    rho = rho / trace
+            for inst, scale in branch.segment:
+                rho = self._apply_static(rho, inst, scale)
+        return rho
+
+    def _measure(self, qubit: int, clbit: int) -> None:
+        node = self.node
+        if node.p_one is None:
+            node.segment, node.qubit = self.pending, qubit
+            rho = self._materialize(node)
+            node.p_one = _prob_one(rho, qubit, self.n)
+            if self.memo_bytes + rho.nbytes <= _MEMO_BYTES:
+                node.state = rho
+                self.memo_bytes += rho.nbytes
+        self.pending = []
+        outcome = 1 if self.rng.random() < node.p_one else 0
         recorded = outcome
         if self.noise_model is not None:
             confusion = self.noise_model.confusion_matrix(qubit)
-            p_read_one = float(confusion[1, outcome])
-            recorded = 1 if self.rng.random() < p_read_one else 0
-        bits[clbit] = recorded
-        return rho
+            recorded = int(self.rng.random() < float(confusion[1, outcome]))
+        self.bits[clbit] = recorded
+        child = node.children.get((outcome, recorded))
+        if child is None:
+            child = node.children[(outcome, recorded)] = _Branch(node,
+                                                                 outcome)
+        self.node = child
 
     def _iteration_body(self, op: ForLoopOp, value: int) -> QuantumCircuit:
         if op.loop_parameter is None:
@@ -157,68 +213,43 @@ class _TrajectoryRunner:
             self._bound_bodies[key] = body
         return body
 
-    def _run_sequence(self, rho: np.ndarray, instructions,
-                      bits: Dict[int, int], top_level: bool) -> np.ndarray:
+    def _run_sequence(self, instructions, top_level: bool) -> None:
+        bits = self.bits
         for idx, inst in enumerate(instructions):
             op = inst.gate
             if isinstance(op, IfElseOp):
                 body = op.body_for(op.condition.evaluate(bits))
                 if body is not None:
-                    rho = self._run_sequence(rho, body.instructions, bits,
-                                             False)
+                    self._run_sequence(body.instructions, False)
                 continue
             if isinstance(op, ForLoopOp):
                 for value in op.indexset:
-                    rho = self._run_sequence(
-                        rho, self._iteration_body(op, value).instructions,
-                        bits, False)
+                    self._run_sequence(
+                        self._iteration_body(op, value).instructions, False)
                 continue
             if isinstance(op, WhileLoopOp):
                 iterations = 0
                 while (iterations < op.max_iterations
                        and op.condition.evaluate(bits)):
-                    rho = self._run_sequence(rho, op.body.instructions,
-                                             bits, False)
+                    self._run_sequence(op.body.instructions, False)
                     iterations += 1
                 continue
             if inst.name == "measure":
-                rho = self._measure(rho, inst.qubits[0], inst.clbits[0],
-                                    bits)
+                self._measure(inst.qubits[0], inst.clbits[0])
                 continue
             # Crosstalk error scales are keyed by *top-level* instruction
             # index (the joint schedule never sees inside bodies).
             scale = self.error_scales.get(idx, 1.0) if top_level else 1.0
-            rho = self._apply_static(rho, inst, scale)
-        return rho
+            self.pending.append((inst, scale))
 
     def run(self, shots: int, measured: Tuple[int, ...]) -> Dict[str, int]:
-        instructions = self.circuit.instructions
-        # Shared-prefix optimization: everything before the first
-        # measurement or control-flow op is branch-independent, so its
-        # (noisy, deterministic) evolution is computed once.
-        split = len(instructions)
-        for idx, inst in enumerate(instructions):
-            if inst.name == "measure" or isinstance(inst.gate,
-                                                    ControlFlowOp):
-                split = idx
-                break
-        prefix_rho = self.ops.initial()
-        for idx, inst in enumerate(instructions[:split]):
-            prefix_rho = self._apply_static(
-                prefix_rho, inst, self.error_scales.get(idx, 1.0))
-        suffix = instructions[split:]
-        # Re-key the error scales onto suffix-relative indices.
-        suffix_scales = {i - split: s for i, s in self.error_scales.items()
-                         if i >= split}
-        outer_scales, self.error_scales = self.error_scales, suffix_scales
-
+        root = _Branch()
         counts: Dict[str, int] = {}
         for _ in range(shots):
-            bits: Dict[int, int] = {}
-            rho = self._run_sequence(prefix_rho.copy(), suffix, bits, True)
-            key = "".join(str(bits.get(c, 0)) for c in measured)
+            self.node, self.pending, self.bits = root, [], {}
+            self._run_sequence(self.circuit.instructions, True)
+            key = "".join(str(self.bits.get(c, 0)) for c in measured)
             counts[key] = counts.get(key, 0) + 1
-        self.error_scales = outer_scales
         return counts
 
 
