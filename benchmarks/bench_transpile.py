@@ -52,11 +52,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from conftest import connected_subset, print_table
 
+from repro.cache import circuit_key
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.core import AllocationResult, CloudScheduler, CompileService, \
     ExecutionCache, ProgramAllocation, SubmittedProgram, \
     allocation_engine, get_allocator
-from repro.core.executor import _circuit_key
 from repro.hardware import Device, ibm_manhattan, ibm_toronto
 from repro.transpiler import DeviceContext, transpile_for_partition
 from repro.workloads import synthesize_traffic
@@ -322,7 +322,7 @@ def scheduler_dedup(device: Device, num_programs: int, seed: int
         outcome = scheduler.schedule(subs)
         compiled = svc.stats["submitted"]
     unique = len({
-        (_circuit_key(a.circuit), a.partition)
+        (circuit_key(a.circuit), a.partition)
         for job in outcome.jobs for a in job.allocation.allocations
     })
     return outcome.compile_requests, compiled, unique
@@ -342,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     num_programs = args.programs or (60 if args.smoke else 150)
     device = ibm_toronto()
     traffic = placed_traffic(device, num_programs, args.seed)
-    unique = len({(_circuit_key(c), p) for c, p in traffic})
+    unique = len({(circuit_key(c), p) for c, p in traffic})
 
     # Untimed warm-up pass: the first timed path in a process otherwise
     # wins from interpreter/allocator warm-up regardless of merit.

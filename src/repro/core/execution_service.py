@@ -26,19 +26,33 @@ shards that per-program work across a process pool, mirroring
   :meth:`~repro.hardware.devices.Device.noise_model`, hence the same
   floats, hence the same Kraus channels.
 
-``mode="auto"`` routes each batch to serial/thread/process workers from
-its estimated simulation cost (batch size x per-program width/shots
-cost, measured table below) against the measured pool overheads — so a
-single-core host, a tiny batch, or a batch whose total work would not
-amortize a fork never pays for a pool it cannot exploit.  A broken
-process pool degrades to inline serial execution (``stats["fallbacks"]``)
-and is replaced compare-and-swap style, exactly like the compile
-service.
+Each program's noisy output distribution is memoized on the service.
+After the joint half, a program's probabilities depend only on its
+effective circuit, its partition's calibration values, its crosstalk
+scales and ``noisy`` — never on the seed or the shot count, which enter
+only at :func:`~repro.sim.readout.sample_counts`.  The memo key is a
+16-byte blake2b digest of exactly those values (:func:`_memo_key`), so a
+hit replays ``sample_counts(probabilities, shots, seed)`` — the call
+:func:`~repro.sim.density_matrix.run_circuit` makes — and its counts are
+bit-identical to a fresh simulation.  Dynamic programs (control flow or
+mid-circuit measurement) sample per shot and bypass the memo.  Only the
+misses are routed and simulated; workers stay stateless.
+
+``mode="auto"`` routes each batch's misses to serial/thread/process
+workers from their estimated simulation cost (miss count x per-program
+width/shots cost, measured table below) against the measured pool
+overheads — so a single-core host, a tiny batch, or a batch whose total
+work would not amortize a fork never pays for a pool it cannot exploit.
+A broken process pool degrades to inline serial execution
+(``stats["fallbacks"]``) and is replaced compare-and-swap style, exactly
+like the compile service.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import threading
 from concurrent.futures import (
     BrokenExecutor,
@@ -50,11 +64,14 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cache import MemoryCache
+from ..circuits.controlflow import ControlFlowOp
+from ..hardware.calibration import Calibration
 from ..hardware.devices import Device
 from ..sim.density_matrix import SimulationResult, run_circuit
 from ..sim.executor import Program, prepare_parallel, spawn_seeds
 from ..sim.noise_model import NoiseModel
-from ..sim.readout import SeedLike
+from ..sim.readout import SeedLike, sample_counts
 from ..transpiler.context import calibration_fingerprint
 from .compile_service import _device_fingerprint_spec
 
@@ -90,6 +107,60 @@ _SHOTS_COST_MS_PER_4096 = 0.5
 #: so threads overlap partially at zero pickling cost).
 _THREAD_MIN_BATCH_MS = 25.0
 _PROCESS_MIN_BATCH_MS = 120.0
+
+#: Output distributions each service keeps (LRU).  An entry is a digest
+#: key plus at most ``2**width`` probabilities — about 5 KB at width 7.
+_MEMO_MAX_ENTRIES = 256
+
+
+# ----------------------------------------------------------------------
+# output-distribution memo
+# ----------------------------------------------------------------------
+
+def _memo_key(program: Program, scales: Dict[int, float],
+              calibration: Calibration, noisy: bool) -> Optional[bytes]:
+    """Digest of everything :func:`run_circuit` reads, or ``None``.
+
+    Covers the effective circuit (after ASAP padding), the calibration
+    values the partition-restricted noise model carries (1q/2q error,
+    readout, t1, t2, detuning — read live, so an in-place calibration
+    edit changes the key), the crosstalk scales and ``noisy``.  Seed and
+    shots are left out: they only enter at sampling.  Dynamic circuits
+    sample per shot, so they get no key.
+    """
+    # One pass builds the instruction entries and repeats run_circuit's
+    # dispatch test: control flow, or a measured qubit operated on again,
+    # goes to the per-shot feed-forward engine.
+    circuit = program.circuit
+    entries = []
+    measured: set = set()
+    for inst in circuit:
+        gate = inst.gate
+        if isinstance(gate, ControlFlowOp):
+            return None
+        name = gate.name
+        if name == "measure":
+            measured.add(inst.qubits[0])
+        elif (name not in ("delay", "barrier")
+              and not measured.isdisjoint(inst.qubits)):
+            return None
+        entries.append((name, gate.params, inst.qubits, inst.clbits))
+    noise: Tuple = ()
+    if noisy:
+        part = program.partition
+        cal = calibration
+        noise = (
+            [(cal.oneq_error.get(p), cal.readout_error.get(p),
+              cal.t1.get(p), cal.t2.get(p), cal.detuning.get(p))
+             for p in part],
+            [(i, j, cal.twoq_error.get((a, b) if a <= b else (b, a)))
+             for i, a in enumerate(part) for j, b in enumerate(part)
+             if i < j],
+        )
+    payload = (circuit.num_qubits, circuit.num_clbits, entries, noise,
+               sorted(scales.items()), noisy)
+    return hashlib.blake2b(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL),
+                           digest_size=16).digest()
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +237,14 @@ class ExecutionService:
         API, inline execution, bit-identical to
         :func:`~repro.sim.executor.run_parallel`).
 
-    The service is stateless across batches apart from its pools and
-    :attr:`stats`; any number of executors may share one instance.
+    Across batches the service keeps its pools, :attr:`stats` and an
+    LRU memo of up to ``_MEMO_MAX_ENTRIES`` output distributions, keyed
+    by a digest of each program's effective circuit, partition
+    calibration values, crosstalk scales and ``noisy`` (see
+    :func:`_memo_key`).  Hits resample the stored distribution with the
+    program's own seed, so results stay bit-identical to
+    :func:`~repro.sim.executor.run_parallel`; any number of executors
+    may share one instance.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -189,13 +266,19 @@ class ExecutionService:
             "batches": 0, "programs": 0, "chunks": 0, "fallbacks": 0,
             "serial_batches": 0, "thread_batches": 0, "process_batches": 0,
         }
+        self._memo = MemoryCache(_MEMO_MAX_ENTRIES)
 
     @property
     def stats(self) -> Dict[str, int]:
         """Request accounting (copy): batches, programs, chunks,
-        fallbacks, and per-route batch counts."""
+        fallbacks, per-route batch counts, and memo hits/misses (static
+        programs only; dynamic ones bypass the memo)."""
+        memo = self._memo.stats
         with self._lock:
-            return dict(self._requests)
+            out = dict(self._requests)
+        out["memo_hits"] = memo["hits"]
+        out["memo_misses"] = memo["misses"]
+        return out
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -275,33 +358,57 @@ class ExecutionService:
         :func:`repro.sim.executor.run_parallel`.
 
         The joint half (validation, ASAP padding, crosstalk scales, seed
-        spawning) runs here in the parent; only the per-program
-        simulations are distributed, so the results cannot depend on the
-        route or the chunking.
+        spawning) runs here in the parent.  Memo hits are resampled
+        inline; only the misses are routed and simulated, so the
+        results cannot depend on the route, the chunking or the memo.
         """
         effective, scales = prepare_parallel(
             programs, device, scheduling=scheduling,
             include_crosstalk=include_crosstalk, noisy=noisy)
         seeds = spawn_seeds(seed, len(effective))
 
-        route = self.mode
+        results: List[Optional[SimulationResult]] = [None] * len(effective)
+        keys = [_memo_key(prog, scales[k], device.calibration, noisy)
+                for k, prog in enumerate(effective)]
+        misses: List[int] = []
+        for k, key in enumerate(keys):
+            cached = self._memo.get(key) if key is not None else None
+            if cached is None:
+                misses.append(k)
+                continue
+            probabilities, measured_clbits = cached
+            results[k] = SimulationResult(
+                probabilities=dict(probabilities),
+                counts=sample_counts(probabilities, shots, seed=seeds[k]),
+                shots=shots, measured_clbits=measured_clbits)
+
+        todo = [effective[k] for k in misses]
+        todo_scales = [scales[k] for k in misses]
+        todo_seeds = [seeds[k] for k in misses]
+        route = self.mode if todo else "serial"
         if route == "auto":
-            max_width = max(
-                (p.circuit.num_qubits for p in effective), default=0)
-            route = self.choose_route(len(effective), max_width, shots)
+            max_width = max(p.circuit.num_qubits for p in todo)
+            route = self.choose_route(len(todo), max_width, shots)
         with self._lock:
             self._requests["batches"] += 1
             self._requests["programs"] += len(effective)
             self._requests[f"{route}_batches"] += 1
 
         if route == "serial":
-            return self._run_inline(effective, scales, seeds, device,
-                                    shots, noisy, range(len(effective)))
-        if route == "thread":
-            return self._run_threads(effective, scales, seeds, device,
-                                     shots, noisy)
-        return self._run_process(effective, scales, seeds, device,
-                                 shots, noisy)
+            fresh = self._run_inline(todo, todo_scales, todo_seeds, device,
+                                     shots, noisy, range(len(todo)))
+        elif route == "thread":
+            fresh = self._run_threads(todo, todo_scales, todo_seeds, device,
+                                      shots, noisy)
+        else:
+            fresh = self._run_process(todo, todo_scales, todo_seeds, device,
+                                      shots, noisy)
+        for k, result in zip(misses, fresh):
+            results[k] = result
+            if keys[k] is not None:
+                self._memo.put(keys[k], (dict(result.probabilities),
+                                         result.measured_clbits))
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def _run_inline(self, effective: Sequence[Program],

@@ -38,7 +38,6 @@ from ..cache import (
     TieredCache,
     TranspileKey,
     canonical_form,
-    circuit_key,
     index_sensitive_transpiler,
     persistent_cache_token,
 )
@@ -61,10 +60,6 @@ __all__ = ["ExecutionOutcome", "execute_allocation", "TranspilerFn",
 #: Hook: (logical circuit, device, allocation) -> TranspileResult.
 TranspilerFn = Callable[[QuantumCircuit, Device, ProgramAllocation],
                         TranspileResult]
-
-#: Compat shim — the key helpers live in :mod:`repro.cache.keys` now.
-_circuit_key = circuit_key
-
 
 @dataclass
 class ExecutionOutcome:

@@ -264,7 +264,6 @@ class TestTieredExecutionCache:
 
 class TestShims:
     def test_key_helpers_moved_but_reachable(self):
-        assert executor_mod._circuit_key is cache_pkg.circuit_key  # noqa: SLF001
         assert executor_mod.index_sensitive_transpiler \
             is cache_pkg.index_sensitive_transpiler
         assert core_ist is index_sensitive_transpiler
