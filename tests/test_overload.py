@@ -301,10 +301,26 @@ class TestDeterministicShutdown:
         qc.cx(0, 1)
         qc.cx(1, 2)
         qc.measure_all()
-        jobs = [backend.run(qc, shots=128, seed=i) for i in range(5)]
+        release = threading.Event()
+
+        def stalling_transpiler(circuit, device, allocation):
+            release.wait(10)
+            from repro.transpiler import transpile_for_partition
+            return transpile_for_partition(circuit, device,
+                                           allocation.partition)
+
+        # The first job holds the single worker until shutdown has been
+        # called, so the other four are still queued on any host: how
+        # fast submissions run next to a busy worker is not under test.
+        jobs = [backend.run(qc, shots=128, seed=0,
+                            transpiler_fn=stalling_transpiler)]
+        jobs += [backend.run(qc, shots=128, seed=i) for i in range(1, 5)]
         provider.shutdown(wait=False)
         statuses = [job.status() for job in jobs]
+        release.set()
+        jobs[0].wait(10)
         assert statuses.count(JobStatus.CANCELLED) >= len(jobs) - 1
+        assert statuses[1:] == [JobStatus.CANCELLED] * (len(jobs) - 1)
         with QuantumProvider(store_path=store_path) as resumed:
             stored = {r.job_id: r.status for r in resumed.store.jobs()}
             cancelled = [s for s in stored.values() if s == "cancelled"]
