@@ -35,14 +35,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from conftest import print_table
+from conftest import host_info, print_table
 
 import repro
 from repro.circuits import QuantumCircuit
@@ -261,9 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     with open(ARTIFACT, "w") as fh:
         json.dump({"smoke": bool(args.smoke), "seed": args.seed,
-                   "host": {"cores": os.cpu_count(),
-                            "python": platform.python_version(),
-                            "numpy": np.__version__},
+                   "host": host_info(),
                    "unroll_vs_branching": unroll_artifact,
                    "feedforward_accuracy": accuracy_artifact,
                    "scheduler_cache": cache_artifact,

@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from conftest import connected_subset, print_table
+from conftest import connected_subset, host_info, print_table
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.hardware import ibm_toronto, linear_device
@@ -166,6 +166,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "repeats": repeats,
         "seed": args.seed,
         "smoke": bool(args.smoke),
+        "host": host_info(),
         "reference_s": ref_s,
         "vectorized_s": vec_s,
         "speedup": speedup,

@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from conftest import print_table
+from conftest import host_info, print_table
 
 from repro.core import CloudScheduler, DeviceFailurePlan, HealthPolicy
 from repro.hardware import DeviceFleet, linear_device
@@ -306,6 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "interarrival_ns": interarrival_ns,
             "max_queue_depth": max_queue_depth,
             "seed": args.seed,
+            "host": host_info(),
             "counts": counts,
             "per_class": artifact_classes,
             "interactive_p99": {

@@ -10,11 +10,12 @@ allocators, fleet sizes, placement policies, and arrival rates.
 
 The acceptance gate (also run in CI via ``--smoke``): a multi-programmed
 device fleet must beat serial single-device service by >= 2x on mean
-turnaround for a Poisson arrival workload.  Queue outcomes land in
-``BENCH_scheduler.json`` via ``ScheduleOutcome.to_dict()`` — the same
-JSON format facade job results serialize to.
+turnaround for a Poisson arrival workload.  A per-row summary of each
+queue outcome lands in ``BENCH_scheduler.json``; ``--full`` also writes
+every row's ``ScheduleOutcome.to_dict()`` — the same JSON format facade
+job results serialize to — under ``outcomes``.
 
-Run:  PYTHONPATH=../src python bench_scheduler.py [--smoke]
+Run:  PYTHONPATH=../src python bench_scheduler.py [--smoke] [--full]
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import sys
 from typing import Dict, List, Sequence
 
-from conftest import print_table
+from conftest import host_info, print_table
 
 import repro
 from repro.core import ScheduleOutcome, SubmittedProgram
@@ -72,6 +73,17 @@ def run_service(
     return backend.run(submissions, execute=False).result().schedule
 
 
+def summary(outcome: ScheduleOutcome) -> Dict[str, float]:
+    """The row's table columns, as the committed artifact keeps them."""
+    return {
+        "num_jobs": outcome.num_jobs,
+        "makespan_ns": outcome.makespan_ns,
+        "mean_turnaround_ns": outcome.mean_turnaround_ns,
+        "p99_turnaround_ns": outcome.turnaround_p99_ns,
+        "max_queue_depth": outcome.max_queue_depth,
+    }
+
+
 def fmt_ms(ns: float) -> str:
     return f"{ns / 1e6:.2f}"
 
@@ -85,6 +97,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="also sweep the saturation knee over "
                              "heterogeneous fleet shapes beyond the "
                              "2-device config")
+    parser.add_argument("--full", action="store_true",
+                        help="also write every row's full schedule "
+                             "outcome (large) to the artifact")
     parser.add_argument("--programs", type=int, default=None,
                         help="number of submissions (default 24; 12 "
                              "with --smoke)")
@@ -101,7 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     fleet_sizes = [1, 3] if args.smoke else [1, 2, 3]
 
     provider = repro.provider(job_workers=1)
-    artifact: Dict[str, Dict] = {}
+    outcomes: Dict[str, Dict[str, ScheduleOutcome]] = {}
     best_overall = 0.0
     # One shared draw across rates: every stream submits the same
     # programs in the same order, so the rate axis isolates queueing
@@ -114,7 +129,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         serial = run_service(provider, subs, fleet_devices(1), "qucp",
                              0.0, max_batch_size=1)
         rate_key = f"rate_{rate:g}"
-        artifact[rate_key] = {"serial": serial.to_dict()}
+        outcomes[rate_key] = {"serial": serial}
         rows: List[List[object]] = [[
             "serial", 1, "-", 0.0, serial.num_jobs,
             fmt_ms(serial.makespan_ns), fmt_ms(serial.mean_turnaround_ns),
@@ -132,9 +147,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                                       policy=policy)
                     speedup = (serial.mean_turnaround_ns
                                / out.mean_turnaround_ns)
-                    artifact[rate_key][
-                        f"{allocator}/fleet{size}/{policy}"
-                    ] = out.to_dict()
+                    outcomes[rate_key][
+                        f"{allocator}/fleet{size}/{policy}"] = out
                     rows.append([
                         allocator, size,
                         policy if size > 1 else "-",
@@ -335,26 +349,33 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{policy}: knee {base / 1e6:g} ms -> "
                 f"{'none' if new is None else f'{new / 1e6:g} ms'}")
 
+    payload = {"programs": num_programs, "threshold": args.threshold,
+               "host": host_info(), "best_speedup": best_overall,
+               "rows": {rate: {row: summary(out)
+                               for row, out in by_row.items()}
+                        for rate, by_row in outcomes.items()},
+               "saturation_knee": {
+                   "programs": knee_programs,
+                   "rates_ns": [float(r) for r in knee_rates],
+                   "policies": knee_artifact,
+               },
+               "fleet_sweep": fleet_sweep,
+               "racing": {
+                   "programs": race_programs,
+                   "rate_ns": race_rate,
+                   "threshold": race_threshold,
+                   "challengers": list(challengers),
+                   "unraced": unraced.to_dict(),
+                   "raced": raced.to_dict(),
+                   "p99_cut": p99_cut,
+                   "reproducible": reproducible,
+               }}
+    if args.full:
+        payload["outcomes"] = {
+            rate: {row: out.to_dict() for row, out in by_row.items()}
+            for rate, by_row in outcomes.items()}
     with open(ARTIFACT, "w") as fh:
-        json.dump({"programs": num_programs, "threshold": args.threshold,
-                   "best_speedup": best_overall, "outcomes": artifact,
-                   "saturation_knee": {
-                       "programs": knee_programs,
-                       "rates_ns": [float(r) for r in knee_rates],
-                       "policies": knee_artifact,
-                   },
-                   "fleet_sweep": fleet_sweep,
-                   "racing": {
-                       "programs": race_programs,
-                       "rate_ns": race_rate,
-                       "threshold": race_threshold,
-                       "challengers": list(challengers),
-                       "unraced": unraced.to_dict(),
-                       "raced": raced.to_dict(),
-                       "p99_cut": p99_cut,
-                       "reproducible": reproducible,
-                   }},
-                  fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {ARTIFACT}")
 

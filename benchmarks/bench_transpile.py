@@ -50,7 +50,7 @@ import tempfile
 import time
 from typing import Dict, List, Sequence, Tuple
 
-from conftest import connected_subset, print_table
+from conftest import connected_subset, host_info, print_table
 
 from repro.cache import circuit_key
 from repro.circuits import QuantumCircuit, random_circuit
@@ -438,6 +438,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "programs": n,
         "seed": args.seed,
         "smoke": bool(args.smoke),
+        "host": host_info(),
         "workers": args.workers,
         "cold_s": cold_s,
         "warm_context_only_s": warm_ctx_s,

@@ -8,6 +8,10 @@ the substrate is a seeded noise-model simulator, not the 2021 IBM fleet.
 
 from __future__ import annotations
 
+import os
+import platform
+
+import numpy as np
 import pytest
 
 from repro.hardware import ibm_manhattan, ibm_melbourne, ibm_toronto
@@ -29,6 +33,14 @@ def manhattan():
 def melbourne():
     """IBM Q 16 Melbourne."""
     return ibm_melbourne()
+
+
+def host_info() -> dict:
+    """The ``host`` block every ``BENCH_*.json`` records: timings only
+    compare across artifacts from the same cores/Python/numpy class."""
+    return {"cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__}
 
 
 def connected_subset(coupling, start: int, size: int) -> tuple:

@@ -398,8 +398,8 @@ def execute_allocation(
     use :func:`run_batch`, which does so automatically).  With a
     *compile_service*, the job's programs are submitted to its worker
     pool up front and compiled in parallel.  With an
-    *execution_service*, the simulations themselves are sharded across
-    its worker pool (bit-identical to the serial path — see
+    *execution_service*, the simulations go through its
+    output-distribution memo (bit-identical to the reference path — see
     :class:`~repro.core.execution_service.ExecutionService`).
     """
     transpiler_fn = transpiler_fn or _default_transpiler
@@ -487,7 +487,7 @@ def run_batch(
     its worker pool before the first job executes: job *i*'s simulation
     overlaps the compilation of jobs *i+1...*, and each job only waits
     on its own transpiles.  With an *execution_service*, each job's
-    simulations are sharded across its worker pool (bit-identical).
+    simulations go through its output-distribution memo (bit-identical).
     """
     normalized: List[BatchJob] = [
         job if isinstance(job, BatchJob) else BatchJob(job) for job in jobs

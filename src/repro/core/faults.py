@@ -16,9 +16,8 @@ failure sequence on every run, so chaos tests assert exact outcomes:
   to surviving devices, and the device rejoins at *t'*.
 - :class:`BreakingExecutor` / :func:`inject_broken_process_pool` — a
   process-pool stand-in that breaks on cue (at submit time or
-  mid-chunk), driving the :class:`~repro.core.ExecutionService` /
-  :class:`~repro.core.CompileService` inline-fallback paths without
-  having to OOM-kill a real worker.
+  mid-chunk), driving the :class:`~repro.core.CompileService`
+  inline-fallback path without having to OOM-kill a real worker.
 - :func:`corrupt_file` / :func:`write_foreign_store` /
   :func:`locked_database` — damage an on-disk SQLite store (compile
   cache or job store) the ways real disks do: truncation, garbage
@@ -197,8 +196,7 @@ def inject_broken_process_pool(service, break_after: int = 0,
     """Replace *service*'s lazy process pool with a breaking one.
 
     Works on anything holding its pool in a ``_process_pool`` attribute
-    (:class:`~repro.core.ExecutionService`,
-    :class:`~repro.core.CompileService`).  Returns the injected
+    (:class:`~repro.core.CompileService`).  Returns the injected
     executor so tests can assert how far it got before breaking.  The
     service's own compare-and-swap pool replacement still applies: once
     the injected pool breaks, the next batch lazily builds a real one.

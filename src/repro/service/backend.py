@@ -208,7 +208,7 @@ class BaseBackend(ABC):
                           "evictions", "promotions")
     #: Execution-service counters snapshotted the same way (prefixed so
     #: they can't collide with the cache's names in one delta dict).
-    _EXECUTION_COUNTERS = ("batches", "chunks", "fallbacks")
+    _EXECUTION_COUNTERS = ("batches",)
 
     def _metadata_counters(self) -> Dict[str, int]:
         stats = self._provider.cache.stats
@@ -389,8 +389,6 @@ class SimulatorBackend(BaseBackend):
             cache_evictions=deltas["evictions"],
             cache_promotions=deltas["promotions"],
             execution_batches=deltas["execution_batches"],
-            execution_chunks=deltas["execution_chunks"],
-            execution_fallbacks=deltas["execution_fallbacks"],
             dynamic_programs=_count_dynamic(
                 a.circuit for a in allocation.allocations),
         )
@@ -582,8 +580,6 @@ class CloudBackend(BaseBackend):
             cache_evictions=deltas["evictions"],
             cache_promotions=deltas["promotions"],
             execution_batches=deltas["execution_batches"],
-            execution_chunks=deltas["execution_chunks"],
-            execution_fallbacks=deltas["execution_fallbacks"],
             races=sum(outcome.race_wins.values()),
             rejection_reasons=tuple(sorted(
                 (int(i), str(r))

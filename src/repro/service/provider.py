@@ -126,22 +126,15 @@ class QuantumProvider:
         survive provider restarts and dedup across concurrent
         providers.  When omitted, the ``REPRO_CACHE_PATH`` environment
         variable is consulted; unset means in-memory caching only.
-    execution_mode:
-        Worker routing of the shared
-        :class:`~repro.core.ExecutionService` that every backend's
-        simulations run through — ``"auto"`` (default; per-batch
-        serial/thread/process choice from the measured crossover
-        table), or an explicit route.  Sharded execution is
-        bit-identical to the serial path regardless of the route.
-    execution_workers:
-        Execution pool size (``None`` = executor default).
     job_workers:
         Job pool width.  Defaults to 1, which keeps shared-cache
-        statistics and engine memo growth deterministic.  With the
-        execution service routing simulations to a *process* pool the
-        GIL no longer serializes jobs, so raising this makes concurrent
-        jobs genuinely overlap — speculative duplicate submissions
-        (hedged racing at the job level) need it.
+        statistics and engine memo growth deterministic.  Jobs run on
+        threads and simulate inline through the shared
+        :class:`~repro.core.ExecutionService`, which holds the GIL for
+        most of a simulation, so a wider pool mainly overlaps one job's
+        compile waits and store writes with another's simulation;
+        speculative duplicate submissions (hedged racing at the job
+        level) still need it.
     job_history:
         Bound on the job registry.  Finished jobs beyond it (oldest
         first) are evicted so their Results can be reclaimed —
@@ -173,8 +166,6 @@ class QuantumProvider:
         compile_workers: Optional[int] = None,
         cache_entries=_UNSET,
         cache_path: Optional[str] = None,
-        execution_mode: str = "auto",
-        execution_workers: Optional[int] = None,
         job_workers: int = 1,
         job_history: Optional[int] = None,
         store_path: Optional[str] = None,
@@ -204,8 +195,7 @@ class QuantumProvider:
         self.compile_service = CompileService(
             max_workers=compile_workers, mode=compile_mode,
             cache=self.cache)
-        self.execution_service = ExecutionService(
-            max_workers=execution_workers, mode=execution_mode)
+        self.execution_service = ExecutionService()
         self._pool = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-job")
         self._job_counter = 0
@@ -610,7 +600,7 @@ class QuantumProvider:
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the job pool, the compile and execution services.
+        """Stop the job pool and the compile service.
 
         With ``wait=True`` queued jobs drain: everything already
         submitted finishes (and lands in the store) first.  With
@@ -639,7 +629,6 @@ class QuantumProvider:
         else:
             self._pool.shutdown(wait=True)
         self.compile_service.shutdown(wait=wait)
-        self.execution_service.shutdown(wait=wait)
         if self._store is not None:
             self._store.close()
 

@@ -137,14 +137,10 @@ class RunMetadata:
     #: Artifacts promoted from the persistent store into memory during
     #: the window (0 unless the provider attached a ``cache_path``).
     cache_promotions: int = 0
-    #: Execution-service counter deltas over the same window (same
-    #: single-worker caveat as the cache deltas above): batches routed
-    #: through the shared :class:`~repro.core.ExecutionService`, the
-    #: process-pool chunks they sharded into, and programs that fell
-    #: back inline because a pool broke.
+    #: Batches run through the shared :class:`~repro.core.ExecutionService`
+    #: over the same window (same single-worker caveat as the cache
+    #: deltas above).
     execution_batches: int = 0
-    execution_chunks: int = 0
-    execution_fallbacks: int = 0
     #: Hedged allocator races the scheduler ran for this job (0 when
     #: the backend has no ``race_allocators`` configured).
     races: int = 0
@@ -178,8 +174,6 @@ class RunMetadata:
             "cache_evictions": int(self.cache_evictions),
             "cache_promotions": int(self.cache_promotions),
             "execution_batches": int(self.execution_batches),
-            "execution_chunks": int(self.execution_chunks),
-            "execution_fallbacks": int(self.execution_fallbacks),
             "races": int(self.races),
             "attempts": int(self.attempts),
             "rejection_reasons": {str(i): str(r) for i, r
@@ -193,7 +187,9 @@ class RunMetadata:
 
         ``None`` timings stay ``None`` — the serialized null is the
         canonical spelling of a NaN timing, so the round-trip
-        ``to_dict(from_dict(d)) == d`` holds exactly.
+        ``to_dict(from_dict(d)) == d`` holds exactly.  Keys this schema
+        no longer carries (older stores' ``execution_chunks`` and
+        ``execution_fallbacks``) are ignored.
         """
         makespan = payload.get("makespan_ns")
         turnaround = payload.get("mean_turnaround_ns")
@@ -216,9 +212,6 @@ class RunMetadata:
             cache_evictions=int(payload.get("cache_evictions", 0)),
             cache_promotions=int(payload.get("cache_promotions", 0)),
             execution_batches=int(payload.get("execution_batches", 0)),
-            execution_chunks=int(payload.get("execution_chunks", 0)),
-            execution_fallbacks=int(
-                payload.get("execution_fallbacks", 0)),
             races=int(payload.get("races", 0)),
             attempts=int(payload.get("attempts", 1)),
             rejection_reasons=tuple(sorted(

@@ -267,9 +267,9 @@ def prepare_parallel(
     schedule.  Returns ``(effective_programs, error_scales)`` — after
     this point each program's simulation depends only on its own
     ``(circuit, partition, seed, scales)`` tuple, which is what lets
-    :class:`~repro.core.execution_service.ExecutionService` shard the
-    per-program work across processes without changing a single bit of
-    the output.
+    :class:`~repro.core.execution_service.ExecutionService` memoize each
+    program's output distribution without changing a single bit of the
+    output.
     """
     seen: set = set()
     for prog in programs:

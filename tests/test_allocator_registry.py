@@ -156,17 +156,20 @@ class TestEngineCaching:
                                   circuit)
         assert second is first
 
-    def test_legacy_best_placement_honours_blocked_qubits(self, toronto):
-        """The OnlineScheduler shim must treat allocated_qubits as
-        blocked even when they come from no listed partition."""
-        from repro.core import OnlineScheduler
+    def test_best_placement_honours_blocked_qubits(self, toronto):
+        """Qubits blocked beyond the listed parts (e.g. masked broken
+        qubits) are never placed on."""
+        from repro.core import PlacementContext
 
-        scheduler = OnlineScheduler(toronto)
+        engine = allocation_engine(toronto)
+        allocator = get_allocator("qucp")
         circuit = workload("adder").circuit()
-        solo = scheduler._best_placement(circuit, [], [])
-        masked = scheduler._best_placement(circuit, list(solo[0]), [])
+        solo = engine.solo_best(allocator, circuit)
+        masked = engine.best_placement(
+            allocator, circuit,
+            PlacementContext(qubits=frozenset(solo.partition)))
         assert masked is not None
-        assert not set(masked[0]) & set(solo[0])
+        assert not set(masked.partition) & set(solo.partition)
 
     def test_engine_registry_does_not_pin_devices(self):
         """Regression: dropping a device releases its engine and caches

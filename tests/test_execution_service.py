@@ -1,29 +1,22 @@
-"""ExecutionService bit-identity and routing (the perf-opt acceptance gate).
+"""ExecutionService bit-identity (the execution acceptance gate).
 
-Sharded execution must be **bit-identical** to the serial
-:func:`repro.sim.executor.run_parallel` path — same counts, same
-probabilities, same clbit records — regardless of mode (serial / thread /
-process / auto) or worker count, because the joint half of the batch
-(ASAP padding, crosstalk scales, seed spawning) runs in the parent and
-each program's RNG stream is a pre-spawned ``SeedSequence`` child.  The
-randomized suite here sweeps programs x shots x seeds x worker counts.
-Also covers the measured ``choose_route`` decision table and the
-broken-pool inline fallbacks.
+The service must be **bit-identical** to the reference
+:func:`repro.sim.executor.run_parallel` — same counts, same
+probabilities, same clbit records — because it runs the same joint half
+(ASAP padding, crosstalk scales, seed spawning) and the same
+per-program loop, and its memo resamples stored distributions with each
+program's own pre-spawned ``SeedSequence`` child.  The randomized suite
+here sweeps programs x shots x seeds.
 """
-
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core import ExecutionService, execute_allocation, qucp_allocate, run_batch
-from repro.core.execution_service import (
-    _PROCESS_MIN_BATCH_MS,
-    _SERIAL_MAX_BATCH,
-    _THREAD_MIN_BATCH_MS,
-)
+from repro.core import execution_service as execution_service_mod
 from repro.hardware import ibm_toronto
+from repro.sim.density_matrix import run_circuit
 from repro.sim.executor import Program, run_parallel
 from repro.workloads import workload
 
@@ -68,24 +61,38 @@ def assert_identical(got, want):
         assert g.measured_clbits == w.measured_clbits
 
 
-class TestShardedEquivalence:
-    """Randomized: every route x worker count reproduces serial exactly."""
+class TestEquivalence:
+    """Randomized: the service reproduces the reference exactly."""
 
     @pytest.mark.parametrize("trial", range(4))
-    def test_routes_and_worker_counts_are_bit_identical(self, trial):
+    def test_random_batches_are_bit_identical(self, trial):
         rng = np.random.default_rng(1000 + trial)
         device = ibm_toronto()
         programs = random_job(rng)
         shots = int(rng.choice([0, 257, 1024]))
         seed = int(rng.integers(0, 2**31))
         want = run_parallel(programs, device, shots=shots, seed=seed)
-        routes = [("serial", 1), ("thread", 2), ("process", 1),
-                  ("process", 2), ("process", 3), ("auto", 2)]
-        for mode, workers in routes:
-            with ExecutionService(max_workers=workers, mode=mode) as svc:
-                got = svc.run_parallel(programs, device, shots=shots,
-                                       seed=seed)
+        got = ExecutionService().run_parallel(programs, device,
+                                              shots=shots, seed=seed)
+        assert_identical(got, want)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_random_batches_hit_bit_identically(self, trial):
+        # The second and third runs of a batch are all memo hits,
+        # resampled with new seeds and shot counts.
+        rng = np.random.default_rng(2000 + trial)
+        device = ibm_toronto()
+        programs = random_job(rng)
+        svc = ExecutionService()
+        for _ in range(3):
+            shots = int(rng.choice([0, 257, 1024]))
+            seed = int(rng.integers(0, 2**31))
+            want = run_parallel(programs, device, shots=shots, seed=seed)
+            got = svc.run_parallel(programs, device, shots=shots,
+                                   seed=seed)
             assert_identical(got, want)
+        assert svc.stats["memo_misses"] == len(programs)
+        assert svc.stats["memo_hits"] == 2 * len(programs)
 
     def test_seed_sequence_and_options_round_trip(self):
         rng = np.random.default_rng(7)
@@ -99,153 +106,102 @@ class TestShardedEquivalence:
             dict(seed=11, shots=64, scheduling="asap"),
         ):
             want = run_parallel(programs, device, **kwargs)
-            with ExecutionService(max_workers=2, mode="process") as svc:
-                got = svc.run_parallel(programs, device, **kwargs)
+            got = ExecutionService().run_parallel(programs, device,
+                                                  **kwargs)
             assert_identical(got, want)
 
     def test_one_service_many_batches(self):
         rng = np.random.default_rng(21)
         device = ibm_toronto()
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            for trial in range(3):
-                programs = random_job(rng, max_programs=3)
-                want = run_parallel(programs, device, shots=93, seed=trial)
-                got = svc.run_parallel(programs, device, shots=93,
-                                       seed=trial)
-                assert_identical(got, want)
-            assert svc.stats["batches"] == 3
-            assert svc.stats["process_batches"] == 3
-            assert svc.stats["chunks"] >= 3
-            assert svc.stats["fallbacks"] == 0
+        svc = ExecutionService()
+        for trial in range(3):
+            programs = random_job(rng, max_programs=3)
+            want = run_parallel(programs, device, shots=93, seed=trial)
+            got = svc.run_parallel(programs, device, shots=93, seed=trial)
+            assert_identical(got, want)
+        assert svc.stats["batches"] == 3
 
-    def test_validation_still_raises_in_parent(self):
+    def test_validation_still_raises(self):
         device = ibm_toronto()
         bad = QuantumCircuit(2, 2)
         bad.cx(0, 1)
         bad.measure_all()
-        with ExecutionService(mode="process") as svc:
-            with pytest.raises(ValueError, match="no such link"):
-                svc.run_parallel([Program(bad, (0, 2))], device, shots=16)
+        with pytest.raises(ValueError, match="no such link"):
+            ExecutionService().run_parallel([Program(bad, (0, 2))], device,
+                                            shots=16)
 
+    def test_program_errors_propagate(self, monkeypatch):
+        def exploding(*args, **kwargs):
+            raise RuntimeError("simulation exploded")
 
-class TestChooseRoute:
-    """The measured decision table from the committed crossover run."""
-
-    def test_tiny_batches_stay_serial_at_any_width(self):
-        for width in (1, 7, 12):
-            assert ExecutionService.choose_route(
-                _SERIAL_MAX_BATCH, width, 4096, cores=8) == "serial"
-
-    def test_single_core_never_routes_to_a_pool(self):
-        assert ExecutionService.choose_route(64, 7, 4096,
-                                             cores=1) == "serial"
-
-    def test_small_cheap_batches_stay_serial(self):
-        est = ExecutionService.estimate_batch_ms(3, 1, 0)
-        assert est < _THREAD_MIN_BATCH_MS
-        assert ExecutionService.choose_route(3, 1, 0, cores=8) == "serial"
-
-    def test_moderate_batches_take_threads(self):
-        est = ExecutionService.estimate_batch_ms(4, 3, 4096)
-        assert _THREAD_MIN_BATCH_MS <= est < _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route(4, 3, 4096,
-                                             cores=8) == "thread"
-
-    def test_heavy_batches_take_the_process_pool(self):
-        est = ExecutionService.estimate_batch_ms(16, 5, 4096)
-        assert est >= _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route(16, 5, 4096,
-                                             cores=8) == "process"
-
-    def test_estimate_grows_with_width_batch_and_shots(self):
-        est = ExecutionService.estimate_batch_ms
-        assert est(4, 5, 1024) < est(4, 6, 1024) < est(4, 9, 1024)
-        assert est(4, 5, 1024) < est(8, 5, 1024)
-        assert est(4, 5, 0) < est(4, 5, 65536)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            ExecutionService(mode="fleet")
-
-
-class _BrokenSubmitPool:
-    def submit(self, *args, **kwargs):
-        raise BrokenExecutor("process pool is terminated")
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class _DyingWorkerPool:
-    def submit(self, *args, **kwargs):
-        fut = Future()
-        fut.set_exception(BrokenExecutor("worker died"))
-        return fut
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class TestPoolFallbacks:
-    """Pool health must never fail a batch — and never change a bit."""
-
-    def setup_method(self):
-        rng = np.random.default_rng(5)
-        self.device = ibm_toronto()
-        self.programs = random_job(rng, max_programs=4)
-        self.want = run_parallel(self.programs, self.device, shots=77,
-                                 seed=13)
-
-    def test_broken_submit_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _BrokenSubmitPool()
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
-        # The dead pool was dropped: the next process-route batch builds
-        # a fresh one instead of falling back forever.
-        assert svc._process_pool is None
-        svc.shutdown()
-
-    def test_mid_chunk_worker_death_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _DyingWorkerPool()
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
-        svc.shutdown()
-
-    def test_shut_down_thread_pool_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="thread")
-        dead = ThreadPoolExecutor(max_workers=1)
-        dead.shutdown()
-        svc._thread_pool = dead
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
-        svc.shutdown()
-
-    def test_program_errors_still_propagate(self):
-        # A failing *simulation* is a real error, not pool health: the
-        # fallback must not swallow it (only BrokenExecutor degrades).
-        class _FailingChunkPool:
-            def submit(self, *args, **kwargs):
-                fut = Future()
-                fut.set_exception(RuntimeError("simulation exploded"))
-                return fut
-
-            def shutdown(self, wait=True):
-                pass
-
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _FailingChunkPool()
+        monkeypatch.setattr(execution_service_mod, "run_circuit", exploding)
+        programs = random_job(np.random.default_rng(5), max_programs=4)
+        svc = ExecutionService()
         with pytest.raises(RuntimeError, match="simulation exploded"):
-            svc.run_parallel(self.programs, self.device, shots=8, seed=1)
-        assert svc.stats["fallbacks"] == 0
-        svc.shutdown()
+            svc.run_parallel(programs, ibm_toronto(), shots=8, seed=1)
+        assert len(svc._memo) == 0
+
+    def test_failed_batch_leaves_the_service_usable(self, monkeypatch):
+        # The second miss fails; the first one's distribution is
+        # complete, so a retry hits it and stays bit-identical.
+        calls = []
+
+        def second_call_explodes(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("simulation exploded")
+            return run_circuit(*args, **kwargs)
+
+        rng = np.random.default_rng(6)
+        programs = [random_program(CHAINS[i], rng) for i in (0, 2, 4)]
+        device = ibm_toronto()
+        svc = ExecutionService()
+        monkeypatch.setattr(execution_service_mod, "run_circuit",
+                            second_call_explodes)
+        with pytest.raises(RuntimeError, match="simulation exploded"):
+            svc.run_parallel(programs, device, shots=8, seed=1)
+        monkeypatch.setattr(execution_service_mod, "run_circuit",
+                            run_circuit)
+        want = run_parallel(programs, device, shots=8, seed=2)
+        assert_identical(svc.run_parallel(programs, device, shots=8,
+                                          seed=2), want)
+        assert svc.stats["memo_hits"] == 1
+
+    def test_empty_batch(self):
+        device = ibm_toronto()
+        svc = ExecutionService()
+        assert svc.run_parallel([], device, shots=8, seed=1) == \
+            run_parallel([], device, shots=8, seed=1) == []
+        assert svc.stats["batches"] == 1
+        assert svc.stats["programs"] == 0
+
+
+class TestStats:
+    def test_route_counters_read_by_the_e2e_benchmark(self):
+        # e2ebench/run.py indexes these four keys in its layer table.
+        svc = ExecutionService()
+        programs = random_job(np.random.default_rng(9), max_programs=3)
+        svc.run_parallel(programs, ibm_toronto(), shots=32, seed=1)
+        stats = svc.stats
+        assert stats["batches"] == 1
+        assert stats["programs"] == len(programs)
+        assert stats["serial_batches"] == stats["batches"]
+        for key in ("thread_batches", "process_batches", "fallbacks"):
+            assert stats[key] == 0
+
+
+    def test_stats_is_a_copy(self):
+        svc = ExecutionService()
+        svc.stats["batches"] = 99
+        svc.stats.clear()
+        assert svc.stats["batches"] == 0
+        assert svc.stats["memo_hits"] == 0
+
+    def test_takes_no_pool_arguments(self):
+        # Every batch runs inline; there are no worker-pool knobs.
+        for kwargs in (dict(mode="process"), dict(max_workers=2)):
+            with pytest.raises(TypeError):
+                ExecutionService(**kwargs)
 
 
 class TestExecutorWiring:
@@ -256,9 +212,9 @@ class TestExecutorWiring:
         circuits = [workload(n).circuit() for n in ("adder", "bell", "lin")]
         allocation = qucp_allocate(circuits, device)
         want = execute_allocation(allocation, shots=64, seed=5)
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            got = execute_allocation(allocation, shots=64, seed=5,
-                                     execution_service=svc)
+        svc = ExecutionService()
+        got = execute_allocation(allocation, shots=64, seed=5,
+                                 execution_service=svc)
         assert svc.stats["batches"] == 1
         for g, w in zip(got, want):
             assert g.result.counts == w.result.counts
@@ -270,8 +226,8 @@ class TestExecutorWiring:
         jobs = [qucp_allocate(circuits, device),
                 qucp_allocate(circuits[::-1], device)]
         want = run_batch(jobs, seed=17)
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            got = run_batch(jobs, seed=17, execution_service=svc)
+        svc = ExecutionService()
+        got = run_batch(jobs, seed=17, execution_service=svc)
         assert svc.stats["batches"] == len(jobs)
         for gj, wj in zip(got, want):
             for g, w in zip(gj, wj):

@@ -15,7 +15,7 @@ import pytest
 from repro.circuits import CircuitError, QuantumCircuit, gate, ghz_circuit
 from repro.core import (
     CloudScheduler,
-    ExecutionService,
+    CompileService,
     FaultPlan,
     SubmittedProgram,
     inject_broken_process_pool,
@@ -281,66 +281,65 @@ class TestStructuredRejections:
 
 
 class TestBrokenPoolChaos:
-    """An injected BrokenProcessPool degrades to bit-identical inline
-    execution (never a wrong answer, never a crash)."""
+    """An injected BrokenProcessPool degrades the compile service to
+    inline execution (never a wrong answer, never a crash)."""
 
-    CHAINS = [(0, 1, 2), (3, 5, 8), (12, 13, 14, 16), (22, 25, 26)]
+    NAMES = ("adder", "bell", "lin", "var")
 
-    def _programs(self):
-        programs = []
-        for chain in self.CHAINS:
-            qc = QuantumCircuit(len(chain), len(chain))
-            qc.h(0)
-            for i in range(len(chain) - 1):
-                qc.cx(i, i + 1)
-            qc.measure_all()
-            programs.append(Program(qc, chain))
-        return programs
+    def _allocation(self, toronto, names=NAMES):
+        return qucp_allocate([workload(n).circuit() for n in names],
+                             toronto)
 
     def _assert_identical(self, got, want):
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.counts == w.counts
-            assert g.probabilities == w.probabilities
+            assert g.circuit == w.circuit
+            assert g.initial_layout == w.initial_layout
+            assert g.final_layout == w.final_layout
+            assert g.num_swaps == w.num_swaps
 
     def test_pool_broken_at_submit_falls_back_inline(self, toronto):
-        programs = self._programs()
-        want = ExecutionService(mode="serial").run_parallel(
-            programs, toronto, shots=256, seed=9)
-        svc = ExecutionService(max_workers=2, mode="process")
+        allocation = self._allocation(toronto)
+        want = CompileService(mode="serial").compile_allocation(allocation)
+        svc = CompileService(max_workers=2, mode="process")
         executor = inject_broken_process_pool(svc, break_after=0,
                                               mode="submit")
-        got = svc.run_parallel(programs, toronto, shots=256, seed=9)
+        got = svc.compile_allocation(allocation)
         self._assert_identical(got, want)
         assert executor.broke
-        assert svc.stats["fallbacks"] == len(programs)
+        assert svc.stats["fallbacks"] == len(self.NAMES)
 
     def test_worker_death_mid_chunk_falls_back_inline(self, toronto):
-        programs = self._programs()
-        want = ExecutionService(mode="serial").run_parallel(
-            programs, toronto, shots=256, seed=9)
-        svc = ExecutionService(max_workers=2, mode="process")
+        allocation = self._allocation(toronto)
+        want = CompileService(mode="serial").compile_allocation(allocation)
+        svc = CompileService(max_workers=2, mode="process")
         executor = inject_broken_process_pool(svc, break_after=1,
                                               mode="result")
-        got = svc.run_parallel(programs, toronto, shots=256, seed=9)
+        got = svc.compile_allocation(allocation)
         self._assert_identical(got, want)
         assert executor.broke
         # The first chunk ran on the injected pool, the dead chunk's
         # programs fell back inline.
-        assert 0 < svc.stats["fallbacks"] < len(programs)
+        assert 0 < svc.stats["fallbacks"] < len(self.NAMES)
 
     def test_next_batch_gets_a_fresh_pool(self, toronto):
-        programs = self._programs()
-        svc = ExecutionService(max_workers=2, mode="process")
-        inject_broken_process_pool(svc, break_after=0, mode="submit")
-        svc.run_parallel(programs, toronto, shots=64, seed=1)
-        # The broken injected pool was dropped compare-and-swap style.
-        assert svc._process_pool is None
-        want = ExecutionService(mode="serial").run_parallel(
-            programs, toronto, shots=64, seed=2)
-        got = svc.run_parallel(programs, toronto, shots=64, seed=2)
-        self._assert_identical(got, want)
-        svc.shutdown()
+        svc = CompileService(max_workers=1, mode="process")
+        try:
+            inject_broken_process_pool(svc, break_after=0, mode="submit")
+            svc.compile_allocation(self._allocation(toronto))
+            # The broken injected pool was dropped compare-and-swap style.
+            assert svc._process_pool is None
+            allocation = self._allocation(toronto, ("fredkin", "qec_en"))
+            want = CompileService(mode="serial").compile_allocation(
+                allocation)
+            got = svc.compile_allocation(allocation)
+            self._assert_identical(got, want)
+            # ... and shipped through the fresh pool, with no fallback.
+            assert svc._process_pool is not None
+            assert svc.stats["chunks"] == 1
+            assert svc.stats["fallbacks"] == len(self.NAMES)
+        finally:
+            svc.shutdown()
 
     def test_broken_compile_pool_job_still_completes(self, line5):
         prov = QuantumProvider(devices=[line5], compile_mode="process")

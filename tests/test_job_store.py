@@ -284,13 +284,32 @@ class TestResultRoundTrip:
             mean_turnaround_ns=5e5, rejected=(1, 3),
             compile_requests=5, transpile_hits=2, transpile_misses=3,
             cache_evictions=1, cache_promotions=1, execution_batches=2,
-            execution_chunks=4, execution_fallbacks=1, races=2,
-            attempts=3,
+            races=2, attempts=3,
             rejection_reasons=((1, "too wide"), (3, "no coupling")))
         payload = json.loads(json.dumps(meta.to_dict()))
         back = RunMetadata.from_dict(payload)
         assert back == meta
         assert back.to_dict() == payload
+
+    def test_metadata_loads_payload_with_pool_counters(self):
+        # Stores written before execution ran inline only carry the
+        # per-pool counters; they load, and every other field survives.
+        payload = {
+            "job_id": "job-000004", "backend_name": "fleet[a,b]",
+            "method": "online-qucp(th=0.3)", "shots": 2048,
+            "num_programs": 3, "num_hardware_jobs": 2, "throughput": 0.5,
+            "makespan_ns": 2e6, "mean_turnaround_ns": 1e6,
+            "rejected": [2], "compile_requests": 3, "transpile_hits": 1,
+            "transpile_misses": 2, "cache_evictions": 0,
+            "cache_promotions": 1, "execution_batches": 2,
+            "execution_chunks": 4, "execution_fallbacks": 1, "races": 1,
+            "attempts": 2, "rejection_reasons": {"2": "too wide"},
+            "dynamic_programs": 1,
+        }
+        back = RunMetadata.from_dict(json.loads(json.dumps(payload)))
+        legacy = {"execution_chunks", "execution_fallbacks"}
+        assert back.to_dict() == {k: v for k, v in payload.items()
+                                  if k not in legacy}
 
     def test_result_round_trip_is_bit_identical(self, line5):
         prov = QuantumProvider(devices=[line5])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OnlineScheduler, SubmittedProgram
+from repro.core import OnlineScheduler, SubmittedProgram, allocation_engine
 from repro.workloads import workload
 
 
@@ -23,9 +23,9 @@ class TestOnlineScheduler:
         out = scheduler.schedule(subs)
         for batch in out.batches:
             for alloc in batch.allocations:
-                solo = scheduler._best_placement(  # noqa: SLF001
-                    alloc.circuit, [], [])
-                assert alloc.efs <= solo[1] * (1 + 1e-9)
+                solo = allocation_engine(toronto).solo_best(
+                    scheduler.allocator, alloc.circuit).efs
+                assert alloc.efs <= solo * (1 + 1e-9)
 
     def test_zero_threshold_serial_for_identical_copies(self, toronto):
         """Identical copies contend for the same best region, so

@@ -130,6 +130,13 @@ class TestProvider:
         finally:
             prov.shutdown()
 
+    def test_execution_pool_knobs_are_gone(self):
+        # Execution runs inline in the shared memoized service.
+        for kwargs in (dict(execution_mode="process"),
+                       dict(execution_workers=2)):
+            with pytest.raises(TypeError):
+                QuantumProvider(**kwargs)
+
     def test_submit_after_shutdown_refused(self):
         prov = QuantumProvider()
         backend = prov.simulator("ibm_toronto")
@@ -252,6 +259,27 @@ class TestBackends:
             programs, shots=0).result()
         assert repeat.metadata.transpile_misses == 0
         assert repeat.metadata.transpile_hits >= len(programs)
+
+    def test_repeat_job_hits_the_shared_execution_memo(self, provider):
+        programs = small_programs()
+        backend = provider.simulator("ibm_toronto")
+        first = backend.run(programs, shots=64, seed=1).result()
+        repeat = backend.run(programs, shots=64, seed=2).result()
+        assert first.metadata.execution_batches == 1
+        assert repeat.metadata.execution_batches == 1
+        stats = provider.execution_service.stats
+        assert stats["memo_misses"] == len(programs)
+        assert stats["memo_hits"] == len(programs)
+        # A cold provider simulates the repeat from scratch: same counts.
+        cold = QuantumProvider()
+        try:
+            want = cold.simulator("ibm_toronto").run(
+                programs, shots=64, seed=2).result()
+        finally:
+            cold.shutdown()
+        for got, ref in zip(repeat.programs, want.programs):
+            assert got.counts == ref.counts
+            assert got.probabilities == ref.probabilities
 
     def test_result_accessors(self, provider):
         result = provider.simulator("ibm_toronto").run(
