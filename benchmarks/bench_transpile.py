@@ -1,4 +1,4 @@
-"""Compile-latency benchmark: cold vs warm-context vs parallel service.
+"""Compile-latency benchmark: cold vs warm-context vs compile service.
 
 The multi-programming service transpiles every incoming program onto its
 allocated partition.  This bench quantifies the three compile paths on
@@ -13,16 +13,16 @@ small repeated programs dominate, exactly the cloud profile):
   sub-contexts, cached tables) plus the shared
   :class:`~repro.core.ExecutionCache`, so repeated (program, partition)
   pairs are cache hits;
-- **service** — :class:`~repro.core.CompileService` batch submission
-  over its persistent worker pool, same shared caches.
+- **service** — :class:`~repro.core.CompileService` submission with
+  its default construction, same shared caches.
 
-Two cold-path sections ride along: a process-pool shard of unique
-programs on a wide (65q) device — chunked tasks, fingerprint-rehydrated
-contexts — against the same compile run serially, and a scheduler-dedup
-check driving :class:`~repro.core.CloudScheduler` with repeated
-programs at distinct queue indices through a compile service, gating on
-**zero re-transpiles** (the structural cache key dedups across
-submissions).
+Two cold-path sections ride along: a batch of unique programs on a wide
+(65q) device compiled by the default ``CompileService()`` against a
+bare inline ``transpile_for_partition`` loop, gating the service's
+overhead at **<= 1.15x** the bare loop, and a scheduler-dedup check
+driving :class:`~repro.core.CloudScheduler` with repeated programs at
+distinct queue indices through a compile service, gating on **zero
+re-transpiles** (the structural cache key dedups across submissions).
 
 A persistent-store section exercises the layered cache across process
 boundaries: one process compiles the full mix into a SQLite WAL store,
@@ -42,6 +42,7 @@ Run:  PYTHONPATH=../src python bench_transpile.py [--smoke]
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import multiprocessing
 import os
@@ -50,19 +51,28 @@ import tempfile
 import time
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from conftest import connected_subset, host_info, print_table
 
 from repro.cache import circuit_key
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.core import AllocationResult, CloudScheduler, CompileService, \
-    ExecutionCache, ProgramAllocation, SubmittedProgram, \
-    allocation_engine, get_allocator
+    ExecutionCache, ProgramAllocation, allocation_engine, get_allocator
 from repro.hardware import Device, ibm_manhattan, ibm_toronto
 from repro.transpiler import DeviceContext, transpile_for_partition
 from repro.workloads import synthesize_traffic
 
 #: CI override knob (mirrors KERNEL_SPEEDUP_FLOOR/SCHEDULER_SPEEDUP_FLOOR).
 SPEEDUP_FLOOR = float(os.environ.get("TRANSPILE_SPEEDUP_FLOOR", "5.0"))
+
+#: The service may cost at most this much over a bare compile loop on
+#: the cold-miss batch (key hashing, cache publication, coalescing).
+SERVICE_OVERHEAD_BOUND = 1.15
+
+#: Timed repeats per path on the cold-miss batch; the best run of each
+#: is compared, which filters out scheduler noise on shared hosts.
+COLD_REPEATS = 5
 
 ARTIFACT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "BENCH_transpile.json")
@@ -110,7 +120,7 @@ def bench_cold(device: Device, traffic) -> float:
 
 def bench_warm(device: Device, traffic) -> Tuple[float, ExecutionCache]:
     """Shared DeviceContext + shared ExecutionCache, serial."""
-    svc = CompileService(mode="serial")
+    svc = CompileService()
     context = DeviceContext(device.coupling, device.calibration)
 
     def hook(circuit, dev, alloc):
@@ -134,8 +144,8 @@ def bench_warm_context_only(device: Device, traffic) -> float:
     return time.perf_counter() - start
 
 
-def bench_service(device: Device, traffic, workers: int) -> float:
-    """Parallel batch compile through the persistent worker pool."""
+def bench_service(device: Device, traffic) -> float:
+    """Batch compile through the default compile service."""
     context = DeviceContext(device.coupling, device.calibration)
 
     def hook(circuit, dev, alloc):
@@ -143,21 +153,19 @@ def bench_service(device: Device, traffic, workers: int) -> float:
                                        context=context)
 
     allocs = allocations(device, traffic)
-    with CompileService(max_workers=workers, mode="thread") as svc:
-        start = time.perf_counter()
-        futures = [svc.submit(a.circuit, device, a, hook) for a in allocs]
-        for fut in futures:
-            fut.result()
-        return time.perf_counter() - start
+    svc = CompileService()
+    start = time.perf_counter()
+    futures = [svc.submit(a.circuit, device, a, hook) for a in allocs]
+    for fut in futures:
+        fut.result()
+    return time.perf_counter() - start
 
 
 def unique_cold_job(device: Device, num_programs: int, seed: int
                     ) -> AllocationResult:
     """*Unique* heavy programs on BFS-grown partitions: a pure cold-miss
-    batch (no result-cache dedup possible), the process-pool's target
-    load — per-program compile time must dominate chunk pickling."""
-    import numpy as np
-
+    batch (no result-cache dedup possible), so per-program compile time
+    dominates and the service's own overhead shows."""
     rng = np.random.default_rng(seed)
     job = AllocationResult(method="bench-cold", device=device)
     for i in range(num_programs):
@@ -173,90 +181,41 @@ def unique_cold_job(device: Device, num_programs: int, seed: int
     return job
 
 
-def bench_cold_process(device: Device, num_programs: int, workers: int,
-                       seed: int) -> Tuple[float, float, float, int]:
-    """Serial vs chunk-sharded process-pool vs measured-auto compile.
+def bench_cold_compile(device: Device, num_programs: int, seed: int
+                       ) -> Tuple[float, float]:
+    """Bare inline compile loop vs the default ``CompileService()``.
 
-    Returns ``(serial_s, process_s, auto_s, chunks)`` for the timed
-    runs only.  All paths start from an empty result cache; the process
-    pool is warmed (fork + per-worker context tables) before timing,
-    matching its persistent-service usage.  On single-core runners the
-    explicit process path measures the sharding overhead (a known
-    loss), and the ``auto`` path must *route around it* — that is the
-    tuned :meth:`CompileService.choose_route` gate.
+    Returns ``(inline_s, service_s)``, each the best of
+    :data:`COLD_REPEATS` alternating runs.  Both paths compile with the
+    default transpiler settings against the shared device-context
+    registry, warmed by one untimed pass, so the difference is what the
+    service adds: key hashing, cache lookups and publication.  Every
+    service run starts from an empty result cache, and every timed run
+    from a fresh garbage collection, so neither path pays for the
+    other's garbage.
     """
     job = unique_cold_job(device, num_programs, seed)
-    with CompileService(mode="serial") as ser:
+    ordered = sorted(job.allocations, key=lambda a: a.index)
+
+    def inline() -> None:
+        for a in ordered:
+            transpile_for_partition(a.circuit, device, a.partition,
+                                    optimization_level=3, schedule=True)
+
+    inline()  # warm the partition sub-contexts for both paths
+    inline_runs: List[float] = []
+    service_runs: List[float] = []
+    for _ in range(COLD_REPEATS):
+        gc.collect()
         start = time.perf_counter()
-        ser.compile_allocation(job)
-        serial_s = time.perf_counter() - start
-    with CompileService(max_workers=workers, mode="process") as svc:
-        warm = unique_cold_job(device, workers, seed + 1)
-        svc.compile_allocation(warm)  # spin up workers, warm contexts
-        chunks_before = svc.stats["chunks"]
+        inline()
+        inline_runs.append(time.perf_counter() - start)
+        svc = CompileService()
+        gc.collect()
         start = time.perf_counter()
         svc.compile_allocation(job)
-        process_s = time.perf_counter() - start
-        chunks = svc.stats["chunks"] - chunks_before
-    with CompileService(max_workers=workers, mode="auto") as auto:
-        if CompileService.choose_route(num_programs,
-                                       device.num_qubits) == "process":
-            auto.compile_allocation(unique_cold_job(device, workers,
-                                                    seed + 1))
-        start = time.perf_counter()
-        auto.compile_allocation(job)
-        auto_s = time.perf_counter() - start
-    return serial_s, process_s, auto_s, chunks
-
-
-def request_payload_bytes(device: Device, num_programs: int,
-                          workers: int, seed: int) -> Tuple[int, int]:
-    """Pickled request bytes shipped to workers: per-task vs chunked.
-
-    CPU-noise-free view of what fingerprint sharding removes — the
-    per-task path pickles the full device (with its warmed distance
-    caches) for every program; a chunk ships one plain-data fingerprint
-    per shard.
-    """
-    import pickle
-
-    from repro.core.compile_service import _device_fingerprint_spec
-
-    job = unique_cold_job(device, num_programs, seed)
-    # Warm the lazy coupling caches the way a long-running service has
-    # them (they ride along in the Device pickle).
-    device.coupling.distance(0, 1)
-    device.coupling.all_one_hop_edge_pairs()
-    per_task = sum(
-        len(pickle.dumps((a.circuit, device, a)))
-        for a in job.allocations)
-    spec = _device_fingerprint_spec(device)
-    shards = [job.allocations[i::workers] for i in range(workers)]
-    chunked = sum(
-        len(pickle.dumps((spec, [(a.circuit, a.partition)
-                                 for a in shard])))
-        for shard in shards if shard)
-    return per_task, chunked
-
-
-def bench_cold_process_per_task(device: Device, num_programs: int,
-                                workers: int, seed: int) -> float:
-    """The pre-sharding process path: one pool task per program, each
-    pickling the full device — what chunked fingerprints replace."""
-    from repro.core.executor import _default_transpiler
-
-    job = unique_cold_job(device, num_programs, seed)
-    with CompileService(max_workers=workers, mode="process") as svc:
-        svc.compile_allocation(unique_cold_job(device, workers, seed + 1))
-        start = time.perf_counter()
-        futures = [
-            svc.submit(a.circuit, device, a, _default_transpiler,
-                       route="process")
-            for a in job.allocations
-        ]
-        for fut in futures:
-            fut.result()
-        return time.perf_counter() - start
+        service_runs.append(time.perf_counter() - start)
+    return min(inline_runs), min(service_runs)
 
 
 def _store_compile_pass(store_path: str, num_programs: int, seed: int
@@ -272,12 +231,11 @@ def _store_compile_pass(store_path: str, num_programs: int, seed: int
     traffic = placed_traffic(device, num_programs, seed)
     job = AllocationResult(method="bench-store", device=device)
     job.allocations.extend(allocations(device, traffic))
-    cache = ExecutionCache(store_path=store_path)
-    with CompileService(mode="serial", cache=cache) as svc:
-        start = time.perf_counter()
-        svc.compile_allocation(job)
-        elapsed = time.perf_counter() - start
-        stats = svc.stats
+    svc = CompileService(cache=ExecutionCache(store_path=store_path))
+    start = time.perf_counter()
+    svc.compile_allocation(job)
+    elapsed = time.perf_counter() - start
+    stats = svc.stats
     return stats["submitted"], stats["promotions"], elapsed
 
 
@@ -315,12 +273,12 @@ def scheduler_dedup(device: Device, num_programs: int, seed: int
     subs = synthesize_traffic(num_programs, pattern="poisson",
                               mean_interarrival_ns=2e5, mix="heavy_tail",
                               seed=seed)
-    with CompileService(mode="serial") as svc:
-        scheduler = CloudScheduler(device, max_batch_size=1,
-                                   fidelity_threshold=0.0,
-                                   compile_service=svc)
-        outcome = scheduler.schedule(subs)
-        compiled = svc.stats["submitted"]
+    svc = CompileService()
+    scheduler = CloudScheduler(device, max_batch_size=1,
+                               fidelity_threshold=0.0,
+                               compile_service=svc)
+    outcome = scheduler.schedule(subs)
+    compiled = svc.stats["submitted"]
     unique = len({
         (circuit_key(a.circuit), a.partition)
         for job in outcome.jobs for a in job.allocation.allocations
@@ -335,7 +293,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--programs", type=int, default=None,
                         help="number of submissions (default 150; 60 "
                              "with --smoke)")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
@@ -351,7 +308,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cold_s = bench_cold(device, traffic)
     warm_ctx_s = bench_warm_context_only(device, traffic)
     warm_s, cache = bench_warm(device, traffic)
-    service_s = bench_service(device, traffic, args.workers)
+    service_s = bench_service(device, traffic)
 
     n = len(traffic)
     rows = [
@@ -361,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
          f"{warm_ctx_s / n * 1e3:.2f}", f"{cold_s / warm_ctx_s:.2f}x"],
         ["warm (context + result cache)", n, f"{warm_s * 1e3:.1f}",
          f"{warm_s / n * 1e3:.2f}", f"{cold_s / warm_s:.2f}x"],
-        [f"service ({args.workers} workers)", n, f"{service_s * 1e3:.1f}",
+        ["service (CompileService())", n, f"{service_s * 1e3:.1f}",
          f"{service_s / n * 1e3:.2f}", f"{cold_s / service_s:.2f}x"],
     ]
     print_table(
@@ -372,43 +329,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"result cache on warm pass: {cache.transpile_hits} hits / "
           f"{cache.transpile_misses} misses")
 
-    # --- cold path: process-pool sharding on a wide device -------------
+    # --- cold path: service overhead on a wide device -----------------
     wide = ibm_manhattan()
     n_cold = 12 if args.smoke else 48
-    serial_s, process_s, auto_s, chunks = bench_cold_process(
-        wide, n_cold, args.workers, args.seed)
-    per_task_s = bench_cold_process_per_task(
-        wide, n_cold, args.workers, args.seed)
-    process_speedup = serial_s / process_s
-    auto_speedup = serial_s / auto_s
-    chunking_speedup = per_task_s / process_s
+    inline_s, cold_service_s = bench_cold_compile(wide, n_cold, args.seed)
+    overhead = cold_service_s / inline_s
     cores = os.cpu_count() or 1
-    auto_route = CompileService.choose_route(n_cold, wide.num_qubits)
     print_table(
         f"Cold-miss compile of {n_cold} unique programs on {wide.name} "
-        f"({wide.num_qubits}q, {cores} cores)",
-        ["path", "total(ms)", "per-program(ms)", "vs serial"],
+        f"({wide.num_qubits}q, {cores} cores, best of {COLD_REPEATS})",
+        ["path", "total(ms)", "per-program(ms)", "vs inline"],
         [
-            ["serial (one process)", f"{serial_s * 1e3:.1f}",
-             f"{serial_s / n_cold * 1e3:.2f}", "1.00x"],
-            ["process, per-task (full device pickled per program)",
-             f"{per_task_s * 1e3:.1f}", f"{per_task_s / n_cold * 1e3:.2f}",
-             f"{serial_s / per_task_s:.2f}x"],
-            [f"process, chunked ({args.workers} workers, {chunks} "
-             f"chunks, fingerprint rehydration)",
-             f"{process_s * 1e3:.1f}", f"{process_s / n_cold * 1e3:.2f}",
-             f"{process_speedup:.2f}x"],
-            [f"auto (measured route: {auto_route})",
-             f"{auto_s * 1e3:.1f}", f"{auto_s / n_cold * 1e3:.2f}",
-             f"{auto_speedup:.2f}x"],
+            ["inline transpile_for_partition loop",
+             f"{inline_s * 1e3:.1f}", f"{inline_s / n_cold * 1e3:.2f}",
+             "1.00x"],
+            ["CompileService().compile_allocation",
+             f"{cold_service_s * 1e3:.1f}",
+             f"{cold_service_s / n_cold * 1e3:.2f}", f"{overhead:.2f}x"],
         ])
-    per_task_bytes, chunked_bytes = request_payload_bytes(
-        wide, n_cold, args.workers, args.seed)
-    print(f"chunked sharding vs per-task process submission: "
-          f"{chunking_speedup:.2f}x wall-clock, "
-          f"{per_task_bytes / 1e6:.2f} MB -> {chunked_bytes / 1e6:.2f} MB "
-          f"request payload ({per_task_bytes / chunked_bytes:.1f}x fewer "
-          f"bytes shipped)")
 
     # --- cold process on a warm persistent store -----------------------
     with tempfile.TemporaryDirectory(prefix="bench-store-") as store_dir:
@@ -439,7 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "seed": args.seed,
         "smoke": bool(args.smoke),
         "host": host_info(),
-        "workers": args.workers,
         "cold_s": cold_s,
         "warm_context_only_s": warm_ctx_s,
         "warm_s": warm_s,
@@ -448,21 +385,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "warm_context_only_speedup": cold_s / warm_ctx_s,
         "service_speedup": cold_s / service_s,
         "floor": SPEEDUP_FLOOR,
-        "cold_process": {
+        "cold_compile": {
             "device": wide.name,
             "programs": n_cold,
             "cores": cores,
-            "serial_s": serial_s,
-            "per_task_s": per_task_s,
-            "process_s": process_s,
-            "auto_s": auto_s,
-            "auto_route": auto_route,
-            "chunks": chunks,
-            "speedup": process_speedup,
-            "auto_speedup": auto_speedup,
-            "chunking_speedup": chunking_speedup,
-            "per_task_request_bytes": per_task_bytes,
-            "chunked_request_bytes": chunked_bytes,
+            "repeats": COLD_REPEATS,
+            "inline_s": inline_s,
+            "service_s": cold_service_s,
+            "overhead": overhead,
+            "bound": SERVICE_OVERHEAD_BOUND,
         },
         "scheduler_dedup": {
             "compile_requests": requests,
@@ -495,17 +426,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     print("OK: warm-equivalent submissions at distinct queue indices "
           "hit the cache (0 re-transpiles)")
 
-    # The retuned-routing gate: whatever the measured table picked, the
-    # auto route must never *lose* to serial (15% noise margin) — on a
-    # 1-core host that means routing around the 0.47x process-pool
-    # regression this bench used to record.
-    if auto_s > serial_s * 1.15:
-        print(f"FAIL: auto route ({auto_route}) ran at "
-              f"{auto_speedup:.2f}x serial — choose_route picked a "
-              "losing worker kind", file=sys.stderr)
+    if overhead > SERVICE_OVERHEAD_BOUND:
+        print(f"FAIL: CompileService() ran the cold-miss batch at "
+              f"{overhead:.2f}x the bare inline loop (bound "
+              f"{SERVICE_OVERHEAD_BOUND:g}x)", file=sys.stderr)
         return 1
-    print(f"OK: auto route ({auto_route}) at {auto_speedup:.2f}x serial "
-          "on the cold-miss batch (never loses)")
+    print(f"OK: CompileService() at {overhead:.2f}x the bare inline "
+          f"loop on the cold-miss batch (bound "
+          f"{SERVICE_OVERHEAD_BOUND:g}x)")
 
     print(f"\nwarm-context speedup over cold per-call transpile: "
           f"{warm_speedup:.2f}x (floor {SPEEDUP_FLOOR:g}x)")

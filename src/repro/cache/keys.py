@@ -18,9 +18,11 @@ and the transpiler hook — but each tier needs a different *form* of it:
   coupling/calibration fingerprints, a declared hook token), valid
   across processes and process restarts — the on-disk L2 key.
 
-:func:`transpile_key` computes all three in one pass and returns them as
-a :class:`TranspileKey` whose hash/equality is the exact tuple, so the
-existing L1/coalescing semantics are unchanged.
+:func:`transpile_key` computes the two in-memory forms in one pass and
+returns them as a :class:`TranspileKey` whose hash/equality is the exact
+tuple, so the existing L1/coalescing semantics are unchanged.  The
+digest is hashed on first use: only the persistent tier reads it, so a
+cache without a store never pays for the SHA-256.
 
 The equivalence model mirrors sat_revsynth's ``database/equivalence.py``:
 cheap invariants hash -> equivalence class -> canonical representative.
@@ -43,6 +45,7 @@ import numbers
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
@@ -422,10 +425,23 @@ class TranspileKey:
     canonical: Optional[Tuple]
     #: Original logical qubit -> canonical label (``None`` = identity).
     relabel: Optional[Tuple[int, ...]]
-    #: Stable cross-process store key; ``None`` = not persistable.
-    digest: Optional[str]
-    #: Class-invariants digest, the store's equivalence-class index.
-    invariants: Optional[str]
+    #: The values :attr:`digest` and :attr:`invariants` hash, as
+    #: ``(digest parts, invariants parts)``; ``None`` = not persistable.
+    store_parts: Optional[Tuple[Tuple, Tuple]] = None
+
+    @cached_property
+    def digest(self) -> Optional[str]:
+        """Stable cross-process store key; ``None`` = not persistable."""
+        if self.store_parts is None:
+            return None
+        return key_digest(self.store_parts[0])
+
+    @cached_property
+    def invariants(self) -> Optional[str]:
+        """Class-invariants digest, the store's equivalence-class index."""
+        if self.store_parts is None:
+            return None
+        return key_digest(self.store_parts[1])
 
     def __hash__(self) -> int:
         return hash(self.exact)
@@ -459,14 +475,13 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     exact = (form.exact_key, index) + placement + (
         id(device), id(transpiler_fn))
     if index_sensitive:
-        return TranspileKey(exact, None, None, None, None)
+        return TranspileKey(exact, None, None)
     canonical = (form.key,) + placement + (id(device), id(transpiler_fn))
     token = persistent_token(transpiler_fn)
-    digest = invariants = None
+    store_parts = None
     if token is not None:
-        digest = key_digest(
+        store_parts = (
             ("transpile", _DIGEST_SCHEMA, form.key) + placement
-            + (device_digest(device), token))
-        invariants = key_digest(("invariants", _DIGEST_SCHEMA)
-                                + form.invariants)
-    return TranspileKey(exact, canonical, form.relabel, digest, invariants)
+            + (device_digest(device), token),
+            ("invariants", _DIGEST_SCHEMA) + form.invariants)
+    return TranspileKey(exact, canonical, form.relabel, store_parts)

@@ -37,12 +37,10 @@ from .executor import (
     run_batch,
 )
 from .faults import (
-    BreakingExecutor,
     DeviceOutage,
     FaultPlan,
     ResolvedOutage,
     corrupt_file,
-    inject_broken_process_pool,
     locked_database,
     write_foreign_store,
 )
@@ -72,13 +70,6 @@ from .partition import (
 from .qucloud import QucloudAllocator, fidelity_degree, qucloud_allocate
 from .qucp import DEFAULT_SIGMA, QucpAllocator, qucp_allocate
 from .qumc import QumcAllocator, oracle_characterization, qumc_allocate
-from .racing import (
-    RaceCandidate,
-    RaceError,
-    RaceOutcome,
-    StrategyRace,
-    race_allocations,
-)
 from .queueing import (
     JobSpec,
     QueueReport,
@@ -89,8 +80,10 @@ from .scheduler import (
     CloudScheduler,
     DispatchedBatch,
     OnlineScheduler,
+    RaceError,
     ScheduleOutcome,
     SubmittedProgram,
+    best_of,
 )
 from .threshold import ThresholdDecision, select_parallel_count
 
@@ -101,7 +94,6 @@ __all__ = [
     "Allocator",
     "BatchJob",
     "BreakerState",
-    "BreakingExecutor",
     "CircuitBreaker",
     "CloudScheduler",
     "CnaAllocator",
@@ -131,19 +123,17 @@ __all__ = [
     "QucpAllocator",
     "QueueReport",
     "QumcAllocator",
-    "RaceCandidate",
     "RaceError",
-    "RaceOutcome",
     "ResolvedBurst",
     "ResolvedOutage",
     "ScheduleOutcome",
-    "StrategyRace",
     "SubmittedProgram",
     "ThresholdDecision",
     "UnknownAllocatorError",
     "allocation_engine",
     "available_allocators",
     "batched_speedup",
+    "best_of",
     "circuit_structure_key",
     "cna_allocate",
     "cna_compile",
@@ -157,7 +147,6 @@ __all__ = [
     "grow_partition_candidates",
     "hardware_throughput",
     "index_sensitive_transpiler",
-    "inject_broken_process_pool",
     "jensen_shannon_divergence",
     "kl_divergence",
     "locked_database",
@@ -168,7 +157,6 @@ __all__ = [
     "qucloud_allocate",
     "qucp_allocate",
     "qumc_allocate",
-    "race_allocations",
     "register_allocator",
     "resolve_allocator",
     "run_batch",

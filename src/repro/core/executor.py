@@ -272,7 +272,7 @@ class ExecutionCache:
                             result: TranspileResult) -> None:
         """Insert a computed result under a precomputed key (no-op for
         ``None`` keys).  Used by
-        :class:`~repro.core.compile_service.CompileService` workers to
+        :class:`~repro.core.compile_service.CompileService` to
         publish results back into the shared cache; publication fans out
         to every applicable tier (exact, equivalence-class, persistent).
         """
@@ -396,8 +396,8 @@ def execute_allocation(
     measured distributions).  Pass a shared :class:`ExecutionCache` to
     amortize transpilation and ideal-distribution work across calls (or
     use :func:`run_batch`, which does so automatically).  With a
-    *compile_service*, the job's programs are submitted to its worker
-    pool up front and compiled in parallel.  With an
+    *compile_service*, the job's programs compile through it, deduped
+    against its cache and any other thread's in-flight compiles.  With an
     *execution_service*, the simulations go through its
     output-distribution memo (bit-identical to the reference path — see
     :class:`~repro.core.execution_service.ExecutionService`).
@@ -416,10 +416,8 @@ def execute_allocation(
     transpiled: List[TranspileResult] = []
     programs: List[Program] = []
     if compile_service is not None:
-        # submit_allocation resolves the worker route per batch (auto
-        # mode may shard wide batches across the process pool) and
-        # returns futures in allocation-index order — the same order as
-        # `ordered`.
+        # submit_allocation returns futures in allocation-index order
+        # — the same order as `ordered`.
         futures = compile_service.submit_allocation(allocation_result,
                                                     transpiler_fn)
         # Consume the futures' raw results directly (freshened against
@@ -483,10 +481,9 @@ def run_batch(
     streams spawned from *seed*.  Returns one outcome list per job, in
     input order.
 
-    With a *compile_service*, every job's programs are prefetched onto
-    its worker pool before the first job executes: job *i*'s simulation
-    overlaps the compilation of jobs *i+1...*, and each job only waits
-    on its own transpiles.  With an *execution_service*, each job's
+    With a *compile_service*, every job's programs are compiled through
+    it before the first job executes, so each job's own compile
+    requests are cache hits.  With an *execution_service*, each job's
     simulations go through its output-distribution memo (bit-identical).
     """
     normalized: List[BatchJob] = [
@@ -500,10 +497,7 @@ def run_batch(
             # Unhashable circuits cannot be deduped against the
             # prefetch (no cache key, no in-flight coalescing), so
             # submitting them here would double-compile when
-            # execute_allocation submits its own request.  The rest go
-            # through submit_allocation as one batch, so the service's
-            # per-batch routing (auto mode, process-chunk sharding)
-            # applies to the prefetch too.
+            # execute_allocation submits its own request.
             hashable = [
                 alloc for alloc in job.allocation.allocations
                 if cache.transpile_key(alloc.circuit, device, alloc,

@@ -26,7 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .compile_service import CompileService
@@ -55,11 +65,49 @@ from .health import (
     ResolvedBurst,
 )
 from .qucp import DEFAULT_SIGMA, QucpAllocator
-from .racing import StrategyRace
 
 __all__ = ["SubmittedProgram", "DispatchedBatch", "ScheduleOutcome",
-           "CloudScheduler", "OnlineScheduler", "json_safe_num",
-           "percentile"]
+           "CloudScheduler", "OnlineScheduler", "RaceError", "best_of",
+           "json_safe_num", "percentile"]
+
+
+class RaceError(RuntimeError):
+    """Every candidate in a race failed.
+
+    ``errors`` maps candidate name to the exception it raised.
+    """
+
+    def __init__(self, errors: Dict[str, BaseException]) -> None:
+        detail = "; ".join(f"{name}: {exc!r}"
+                           for name, exc in errors.items())
+        super().__init__(f"all {len(errors)} race candidates failed "
+                         f"({detail})")
+        self.errors = dict(errors)
+
+
+def best_of(candidates: Sequence[Tuple[str, Callable[..., Any]]],
+            score: Callable[[Any], Any], *args) -> Tuple[str, Any]:
+    """``(name, value)`` of the lowest-scoring candidate.
+
+    Calls every ``(name, fn)`` candidate with *args*, in order.  The
+    lowest ``score(value)`` wins and ties go to the earlier candidate,
+    so a fixed seed reproduces the same winner.  A raising candidate
+    loses; :class:`RaceError` only if every candidate raises.
+    """
+    best: Optional[Tuple[Any, str, Any]] = None
+    errors: Dict[str, BaseException] = {}
+    for name, fn in candidates:
+        try:
+            value = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the candidate loses
+            errors[name] = exc
+            continue
+        s = score(value)
+        if best is None or s < best[0]:
+            best = (s, name, value)
+    if best is None:
+        raise RaceError(errors)
+    return best[1], best[2]
 
 
 def json_safe_num(value: Optional[float]) -> Optional[float]:
@@ -296,11 +344,10 @@ class CloudScheduler:
         ``get_allocator("qucp", sigma=...)``).
     compile_service:
         Optional :class:`~repro.core.compile_service.CompileService`.
-        When set, each dispatched batch's programs are submitted to the
-        service's worker pool *at dispatch time*, so compilation
-        overlaps the rest of the scheduling run; :meth:`schedule`
-        returns only after every submitted transpile has landed in the
-        service's cache, ready for cache-hit execution.  Cache keys are
+        When set, each dispatched batch's programs are compiled through
+        the service *at dispatch time* and land in its cache, ready for
+        cache-hit execution; a compile error surfaces when
+        :meth:`schedule` returns, not mid-run.  Cache keys are
         structural, so a program resubmitted at a different queue index
         (or by a different user) re-uses the earlier compile instead of
         re-transpiling.  Dispatch-time submissions dedup through every
@@ -320,11 +367,6 @@ class CloudScheduler:
         tail-latency hedge, measured by ``benchmarks/bench_scheduler``'s
         racing phase.  Per-candidate wins land in
         :attr:`ScheduleOutcome.race_wins`.
-    race_executor:
-        Optional worker pool for concurrent candidate packing.  The
-        default (``None``) evaluates sequentially — deterministic and
-        safe with the allocation engines' un-locked memo tables; pass a
-        pool only with thread-safe allocators.
     fault_plan:
         Optional :class:`~repro.core.faults.FaultPlan` of device
         outages, injected into the event stream: at each outage's start
@@ -377,7 +419,6 @@ class CloudScheduler:
         max_batch_size: Optional[int] = None,
         compile_service: "Optional[CompileService]" = None,
         race_allocators: Optional[Sequence[Union[str, Allocator]]] = None,
-        race_executor=None,
         fault_plan: Optional[FaultPlan] = None,
         failure_plan: Optional[DeviceFailurePlan] = None,
         health_policy: Optional[HealthPolicy] = None,
@@ -401,7 +442,7 @@ class CloudScheduler:
         self.job_overhead_ns = job_overhead_ns
         self.max_batch_size = max_batch_size
         self.compile_service = compile_service
-        self.race = self._build_race(race_allocators, race_executor)
+        self.race = self._build_race(race_allocators)
         self.fault_plan = fault_plan
         # Resolve now so a bad plan (unknown device name, ambiguous twin
         # names) fails at construction, not mid-schedule.
@@ -415,9 +456,9 @@ class CloudScheduler:
         self.health_policy = health_policy
         self.priority_aging_ns = priority_aging_ns
 
-    def _build_race(self, race_allocators, race_executor
-                    ) -> Optional[StrategyRace]:
-        """A best-pack race with the primary allocator as candidate 0.
+    def _build_race(self, race_allocators
+                    ) -> Optional[List[Tuple[str, Callable]]]:
+        """Best-pack race candidates, the primary allocator first.
 
         The primary goes first so (a) a dispatch can never admit fewer
         programs than the un-raced scheduler would, and (b) score ties
@@ -439,9 +480,7 @@ class CloudScheduler:
                                self._make_packer(challenger)))
         if len(candidates) == 1:
             return None
-        return StrategyRace(candidates, mode="best",
-                            score=self._pack_score,
-                            executor=race_executor)
+        return candidates
 
     def _make_packer(self, allocator: Allocator):
         def pack(device_index, head, admission_order, submissions):
@@ -700,11 +739,10 @@ class CloudScheduler:
                         self.allocator, chosen, head, admission_order,
                         submissions)
                 else:
-                    raced = self.race.run(chosen, head, admission_order,
-                                          submissions)
-                    batch, admitted = raced.value
-                    race_wins[raced.winner] = (
-                        race_wins.get(raced.winner, 0) + 1)
+                    winner, (batch, admitted) = best_of(
+                        self.race, self._pack_score, chosen, head,
+                        admission_order, submissions)
+                    race_wins[winner] = race_wins.get(winner, 0) + 1
                 durations = device.calibration.gate_duration
                 job_len = self.job_overhead_ns + max(
                     program_duration(submissions[i].circuit, durations)
@@ -721,9 +759,8 @@ class CloudScheduler:
                 jobs.append(dispatched)
                 inflight[chosen] = dispatched
                 if self.compile_service is not None:
-                    # Compilation starts the moment the batch is packed
-                    # and proceeds on the worker pool while this event
-                    # loop keeps scheduling.
+                    # Each batch compiles the moment it is packed, so
+                    # later dispatches dedup against its artifacts.
                     compile_futures.extend(
                         self.compile_service.submit_allocation(batch))
                 # An injected failure burst decides the batch's fate at

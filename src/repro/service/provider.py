@@ -109,12 +109,6 @@ class QuantumProvider:
     devices:
         Extra devices to register at construction (on top of the
         built-ins), addressable by their ``Device.name``.
-    compile_mode:
-        Worker routing of the shared :class:`CompileService` —
-        ``"auto"`` (default; per-batch serial/thread/process choice),
-        or an explicit route.
-    compile_workers:
-        Compile pool size (``None`` = executor default).
     cache_entries:
         LRU bound on the shared :class:`ExecutionCache`'s in-memory
         tables.  When omitted, a generous default cap applies (4096,
@@ -129,12 +123,12 @@ class QuantumProvider:
     job_workers:
         Job pool width.  Defaults to 1, which keeps shared-cache
         statistics and engine memo growth deterministic.  Jobs run on
-        threads and simulate inline through the shared
-        :class:`~repro.core.ExecutionService`, which holds the GIL for
-        most of a simulation, so a wider pool mainly overlaps one job's
-        compile waits and store writes with another's simulation;
-        speculative duplicate submissions (hedged racing at the job
-        level) still need it.
+        threads and compile and simulate inline through the shared
+        :class:`~repro.core.CompileService` and
+        :class:`~repro.core.ExecutionService`, which hold the GIL for
+        most of their work, so a wider pool mainly overlaps one job's
+        store writes with another's compute.  Two jobs compiling the
+        same program share one compile (in-flight coalescing).
     job_history:
         Bound on the job registry.  Finished jobs beyond it (oldest
         first) are evicted so their Results can be reclaimed —
@@ -162,8 +156,6 @@ class QuantumProvider:
     def __init__(
         self,
         devices: Sequence[Device] = (),
-        compile_mode: str = "auto",
-        compile_workers: Optional[int] = None,
         cache_entries=_UNSET,
         cache_path: Optional[str] = None,
         job_workers: int = 1,
@@ -192,9 +184,7 @@ class QuantumProvider:
         # stale artifacts into the shared cache (no-op for unfenced
         # threads, so this costs nothing without a retry policy).
         self.cache.write_gate = publication_allowed
-        self.compile_service = CompileService(
-            max_workers=compile_workers, mode=compile_mode,
-            cache=self.cache)
+        self.compile_service = CompileService(cache=self.cache)
         self.execution_service = ExecutionService()
         self._pool = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-job")
@@ -600,7 +590,7 @@ class QuantumProvider:
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the job pool and the compile service.
+        """Stop the job pool.
 
         With ``wait=True`` queued jobs drain: everything already
         submitted finishes (and lands in the store) first.  With
@@ -628,7 +618,6 @@ class QuantumProvider:
                 job.cancel()
         else:
             self._pool.shutdown(wait=True)
-        self.compile_service.shutdown(wait=wait)
         if self._store is not None:
             self._store.close()
 

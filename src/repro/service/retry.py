@@ -1,10 +1,10 @@
 """Retry and timeout policy for provider jobs.
 
 A :class:`RetryPolicy` makes transient infrastructure failures (a
-broken worker pool, a wedged store, an injected chaos fault) survivable
-without making deterministic failures (a rejected program, a broken
-circuit) slow: the policy re-runs a failed attempt with exponential
-backoff and a **seeded, per-job deterministic jitter** — two runs of
+wedged store, an injected chaos fault) survivable without making
+deterministic failures (a rejected program, a broken circuit) slow:
+the policy re-runs a failed attempt with exponential backoff and a
+**seeded, per-job deterministic jitter** — two runs of
 the same job id under the same policy sleep the same schedule, so
 chaos tests assert exact retry traces — while exceptions on the
 ``non_retryable`` list (a :class:`~repro.service.JobError` by default)

@@ -183,6 +183,30 @@ class TestTieredExecutionCache:
         assert key.digest is not None
         assert key.invariants is not None
 
+    def test_digests_are_hashed_only_for_a_store(self, toronto, tmp_path,
+                                                  monkeypatch):
+        # The SHA-256 digests serve only the persistent tier; a cache
+        # without a store must never compute them.
+        from repro.cache import keys
+
+        keys.device_digest(toronto)  # memoized per device
+        calls = []
+        real = keys.key_digest
+
+        def counting(parts):
+            calls.append(parts[0])
+            return real(parts)
+
+        monkeypatch.setattr(keys, "key_digest", counting)
+        job = _allocation(toronto)
+        for _ in range(2):
+            CompileService().compile_allocation(job)
+        assert calls == []
+        stored = CompileService(
+            cache=ExecutionCache(store_path=str(tmp_path / "s.db")))
+        stored.compile_allocation(job)
+        assert sorted(set(calls)) == ["invariants", "transpile"]
+
     def test_undeclared_hook_not_persisted(self, toronto, tmp_path):
         def hook(circuit, device, allocation):  # no persistent token
             return _default_transpiler(circuit, device, allocation)
@@ -242,15 +266,13 @@ class TestTieredExecutionCache:
                                                          tmp_path):
         path = str(tmp_path / "store.db")
         job = _allocation(toronto)
-        with CompileService(mode="serial",
-                            cache=ExecutionCache(store_path=path)) as warm:
-            warm.compile_allocation(job)
-            assert warm.stats["submitted"] == 2
-        with CompileService(mode="serial",
-                            cache=ExecutionCache(store_path=path)) as cold:
-            cold.compile_allocation(job)
-            assert cold.stats["submitted"] == 0
-            assert cold.stats["promotions"] == 2
+        warm = CompileService(cache=ExecutionCache(store_path=path))
+        warm.compile_allocation(job)
+        assert warm.stats["submitted"] == 2
+        cold = CompileService(cache=ExecutionCache(store_path=path))
+        cold.compile_allocation(job)
+        assert cold.stats["submitted"] == 0
+        assert cold.stats["promotions"] == 2
 
     def test_env_default_max_entries(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "17")
@@ -274,35 +296,3 @@ class TestShims:
             return None
 
         assert getattr(hook, "_observes_allocation_index")
-
-
-class TestSingleCoreRouting:
-    """``choose_route`` must never auto-pick *any* pool on a single-core
-    (or unknown-core-count) host: measured there, threads run GIL-bound
-    compiles at ~0.9x serial and the chunked process pool at ~0.6x, so
-    the only route that never loses is serial."""
-
-    def test_auto_mode_single_core_host(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: 1)
-        assert CompileService.choose_route(64, 65) == "serial"
-
-    def test_auto_mode_unknown_core_count(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: None)
-        assert CompileService.choose_route(64, 65) == "serial"
-
-    def test_cold_process_regression_batch_stays_serial_on_one_core(self):
-        # The committed BENCH_transpile run that motivated the retune:
-        # 150 heavy-tail programs on a 27q device, one core — explicit
-        # process mode ran at 0.47x serial; auto must not repeat that.
-        assert CompileService.choose_route(150, 27, cores=1) == "serial"
-        assert CompileService.choose_route(48, 65, cores=1) == "serial"
-
-    def test_multi_core_still_routes_to_process(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: 4)
-        assert CompileService.choose_route(64, 65) == "process"
-
-    def test_multi_core_narrow_device_routes_to_threads(self):
-        assert CompileService.choose_route(64, 27, cores=4) == "thread"

@@ -5,6 +5,9 @@ invalidate.
 """
 
 import math
+import sys
+import threading
+import time
 
 import networkx as nx
 import pytest
@@ -273,50 +276,46 @@ class TestCompileService:
                     _measured(random_circuit(4, 8, seed=1))]
         return get_allocator("qucp").allocate(circuits, dev)
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_service_matches_direct_execution(self, job, mode):
+    def test_service_matches_direct_execution(self, job):
         direct = execute_allocation(job, shots=256, seed=5)
-        with CompileService(max_workers=2, mode=mode) as svc:
-            via = execute_allocation(job, shots=256, seed=5,
-                                     compile_service=svc)
+        via = execute_allocation(job, shots=256, seed=5,
+                                 compile_service=CompileService())
         assert len(via) == len(direct)
         for a, b in zip(via, direct):
             assert a.transpiled.circuit == b.transpiled.circuit
             assert a.result.probabilities == b.result.probabilities
 
     def test_service_cache_short_circuit_and_counters(self, job):
-        with CompileService(mode="serial") as svc:
-            svc.compile_allocation(job)
-            assert svc.stats["submitted"] == 2
-            assert svc.cache.transpile_misses == 2
-            svc.compile_allocation(job)
-            assert svc.stats["submitted"] == 2  # all cache hits
-            assert svc.stats["short_circuits"] == 2
-            assert svc.cache.transpile_hits == 2
+        svc = CompileService()
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 2
+        assert svc.cache.transpile_misses == 2
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 2  # all cache hits
+        assert svc.stats["short_circuits"] == 2
+        assert svc.cache.transpile_hits == 2
 
     def test_results_do_not_alias(self, job):
-        with CompileService(mode="serial") as svc:
-            first = svc.compile_allocation(job)
-            second = svc.compile_allocation(job)
+        svc = CompileService()
+        first = svc.compile_allocation(job)
+        second = svc.compile_allocation(job)
         assert first[0].circuit == second[0].circuit
         assert first[0].circuit is not second[0].circuit
         assert first[0].final_layout is not second[0].final_layout
 
     def test_mismatched_cache_rejected(self, job):
-        with CompileService(mode="serial") as svc:
-            with pytest.raises(ValueError, match="cache"):
-                execute_allocation(job, shots=64,
-                                   cache=ExecutionCache(),
-                                   compile_service=svc)
+        with pytest.raises(ValueError, match="cache"):
+            execute_allocation(job, shots=64, cache=ExecutionCache(),
+                               compile_service=CompileService())
 
     def test_compile_errors_propagate(self, job):
         def broken(circuit, device, allocation):
             raise RuntimeError("compiler exploded")
 
-        with CompileService(mode="serial") as svc:
-            with pytest.raises(RuntimeError, match="compiler exploded"):
-                svc.transpile(job.allocations[0].circuit, job.device,
-                              job.allocations[0], broken)
+        with pytest.raises(RuntimeError, match="compiler exploded"):
+            CompileService().transpile(job.allocations[0].circuit,
+                                       job.device, job.allocations[0],
+                                       broken)
 
     def test_default_transpiler_key_stable(self, job):
         """The default hook is module-level, so its cache key is stable
@@ -328,3 +327,202 @@ class TestCompileService:
         k2 = cache.transpile_key(alloc.circuit, job.device, alloc,
                                  _default_transpiler)
         assert k1 == k2 and k1 is not None
+
+    def test_owned_request_is_done_when_submit_returns(self, job):
+        # Compiles run inline: nothing is left pending on a pool.
+        svc = CompileService()
+        futures = svc.submit_allocation(job)
+        assert all(f.done() for f in futures)
+        assert svc._inflight == {}  # noqa: SLF001
+
+    def test_failed_compile_releases_its_key(self, job):
+        # A failure must not stay registered in flight: the next request
+        # for the key compiles afresh instead of replaying the error.
+        calls = []
+
+        def flaky(circuit, device, allocation):
+            calls.append(allocation.index)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return _default_transpiler(circuit, device, allocation)
+
+        svc = CompileService()
+        alloc = job.allocations[0]
+        with pytest.raises(RuntimeError, match="transient"):
+            svc.transpile(alloc.circuit, job.device, alloc, flaky)
+        got = svc.transpile(alloc.circuit, job.device, alloc, flaky)
+        want = _default_transpiler(alloc.circuit, job.device, alloc)
+        assert got.circuit == want.circuit
+        assert len(calls) == 2
+        assert svc.stats["submitted"] == 2
+        assert svc._inflight == {}  # noqa: SLF001
+
+    def test_unhashable_requests_compile_every_time(self, job,
+                                                    monkeypatch):
+        svc = CompileService()
+        monkeypatch.setattr(svc.cache, "transpile_key",
+                            lambda *args: None)
+        svc.compile_allocation(job)
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 4
+        assert svc.stats["short_circuits"] == 0
+        assert svc._inflight == {}  # noqa: SLF001
+
+    def test_results_come_back_in_program_order(self, job):
+        shuffled = type(job)(method=job.method, device=job.device,
+                             allocations=job.allocations[::-1])
+        got = CompileService().compile_allocation(shuffled)
+        want = [_default_transpiler(a.circuit, job.device, a)
+                for a in sorted(job.allocations, key=lambda a: a.index)]
+        assert [g.circuit for g in got] == [w.circuit for w in want]
+
+    def test_compiles_publish_into_the_shared_cache(self, job):
+        cache = ExecutionCache()
+        CompileService(cache=cache).compile_allocation(job)
+        for alloc in job.allocations:
+            assert cache.lookup_transpile(alloc.circuit, job.device,
+                                          alloc,
+                                          _default_transpiler) is not None
+        assert cache.transpile_hits == len(job.allocations)
+
+    def test_gated_publication_returns_but_does_not_cache(self, job):
+        # A fenced writer (an abandoned retry attempt) still gets its
+        # result, but later requests cannot hit what it compiled.
+        cache = ExecutionCache()
+        cache.write_gate = lambda: False
+        svc = CompileService(cache=cache)
+        first = svc.compile_allocation(job)
+        assert len(first) == len(job.allocations)
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 2 * len(job.allocations)
+        assert cache.gated_writes == 2 * len(job.allocations)
+
+    def test_stats_read_by_the_e2e_benchmark(self, job):
+        svc = CompileService()
+        svc.compile_allocation(job)
+        svc.compile_allocation(job)
+        stats = svc.stats
+        assert {"submitted", "coalesced", "short_circuits",
+                "fallbacks"} <= set(stats)
+        # No pool is left to break, so nothing ever falls back.
+        assert stats["fallbacks"] == 0
+        stats["submitted"] = -1
+        assert svc.stats["submitted"] == len(job.allocations)
+
+
+class TestInflightCoalescing:
+    """Two threads requesting one key share one compile.
+
+    The owner's compile blocks in its hook until the joiner has joined
+    the in-flight future, so the overlap is forced rather than timed.
+    """
+
+    @pytest.fixture()
+    def job(self):
+        circuits = [_measured(qft_circuit(3))]
+        return get_allocator("qucp").allocate(circuits, ibm_toronto())
+
+    def _two_requests(self, job, compile_fn):
+        alloc = job.allocations[0]
+        svc = CompileService()
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def hook(circuit, device, allocation):
+            calls.append(allocation.index)
+            entered.set()
+            release.wait(30.0)
+            return compile_fn(circuit, device, allocation)
+
+        results, errors = {}, {}
+
+        def request(name):
+            try:
+                results[name] = svc.transpile(alloc.circuit, job.device,
+                                              alloc, hook)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors[name] = exc
+
+        owner = threading.Thread(target=request, args=("owner",))
+        owner.start()
+        assert entered.wait(30.0)
+        joiner = threading.Thread(target=request, args=("joiner",))
+        joiner.start()
+        deadline = time.monotonic() + 30.0
+        while (svc.stats["coalesced"] < 1
+               and time.monotonic() < deadline):
+            pass
+        coalesced = svc.stats["coalesced"]
+        release.set()
+        owner.join(30.0)
+        joiner.join(30.0)
+        assert not owner.is_alive() and not joiner.is_alive()
+        assert coalesced == 1
+        assert calls == [0]
+        assert svc.stats["submitted"] == 1
+        return results, errors
+
+    def test_joiner_shares_the_owners_compile(self, job):
+        results, errors = self._two_requests(job, _default_transpiler)
+        assert errors == {}
+        owner, joiner = results["owner"], results["joiner"]
+        assert owner.circuit == joiner.circuit
+        assert owner.initial_layout == joiner.initial_layout
+        assert owner.final_layout == joiner.final_layout
+        # Both callers get their own copy.
+        assert owner.circuit is not joiner.circuit
+
+    def test_joiner_receives_the_owners_compile_error(self, job):
+        def broken(circuit, device, allocation):
+            raise RuntimeError("compiler exploded")
+
+        results, errors = self._two_requests(job, broken)
+        assert results == {}
+        assert set(errors) == {"owner", "joiner"}
+        assert errors["joiner"] is errors["owner"]
+        assert isinstance(errors["joiner"], RuntimeError)
+
+    def test_many_threads_compile_each_key_once(self):
+        # More threads than cores and a tiny switch interval: a lost
+        # claim would compile a key twice or lose a request.
+        dev = ibm_toronto()
+        circuits = [_measured(random_circuit(3, 6, seed=s))
+                    for s in range(3)]
+        job = get_allocator("qucp").allocate(circuits, dev)
+        svc = CompileService()
+        n_threads = 8
+        results = [None] * n_threads
+        start = threading.Barrier(n_threads)
+
+        def worker(i):
+            start.wait(30.0)
+            results[i] = svc.compile_allocation(job)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = svc.stats
+        assert stats["submitted"] == len(circuits)
+        assert (stats["submitted"] + stats["coalesced"]
+                + stats["short_circuits"]) == n_threads * len(circuits)
+        for got in results[1:]:
+            assert [r.circuit for r in got] == [
+                r.circuit for r in results[0]]
+
+    def test_request_after_the_owner_finished_hits_the_cache(self, job):
+        svc = CompileService()
+        alloc = job.allocations[0]
+        first = svc.transpile(alloc.circuit, job.device, alloc)
+        second = svc.transpile(alloc.circuit, job.device, alloc)
+        assert first.circuit == second.circuit
+        assert svc.stats["coalesced"] == 0
+        assert svc.stats["short_circuits"] == 1

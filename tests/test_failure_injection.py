@@ -1,7 +1,7 @@
 """Failure-injection tests: the library must fail loudly and precisely
 when inputs are broken, not silently mis-simulate — and, for
-*infrastructure* faults (device outages, dying worker pools, killed
-processes), degrade deterministically instead of failing at all."""
+*infrastructure* faults (device outages, killed processes), degrade
+deterministically instead of failing at all."""
 
 import json
 import os
@@ -15,10 +15,8 @@ import pytest
 from repro.circuits import CircuitError, QuantumCircuit, gate, ghz_circuit
 from repro.core import (
     CloudScheduler,
-    CompileService,
     FaultPlan,
     SubmittedProgram,
-    inject_broken_process_pool,
     qucp_allocate,
 )
 from repro.hardware import (
@@ -278,81 +276,6 @@ class TestStructuredRejections:
         assert info.value.job_id == job.job_id
         assert set(info.value.reasons) == {0}
         assert "program 0" in str(info.value)
-
-
-class TestBrokenPoolChaos:
-    """An injected BrokenProcessPool degrades the compile service to
-    inline execution (never a wrong answer, never a crash)."""
-
-    NAMES = ("adder", "bell", "lin", "var")
-
-    def _allocation(self, toronto, names=NAMES):
-        return qucp_allocate([workload(n).circuit() for n in names],
-                             toronto)
-
-    def _assert_identical(self, got, want):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.circuit == w.circuit
-            assert g.initial_layout == w.initial_layout
-            assert g.final_layout == w.final_layout
-            assert g.num_swaps == w.num_swaps
-
-    def test_pool_broken_at_submit_falls_back_inline(self, toronto):
-        allocation = self._allocation(toronto)
-        want = CompileService(mode="serial").compile_allocation(allocation)
-        svc = CompileService(max_workers=2, mode="process")
-        executor = inject_broken_process_pool(svc, break_after=0,
-                                              mode="submit")
-        got = svc.compile_allocation(allocation)
-        self._assert_identical(got, want)
-        assert executor.broke
-        assert svc.stats["fallbacks"] == len(self.NAMES)
-
-    def test_worker_death_mid_chunk_falls_back_inline(self, toronto):
-        allocation = self._allocation(toronto)
-        want = CompileService(mode="serial").compile_allocation(allocation)
-        svc = CompileService(max_workers=2, mode="process")
-        executor = inject_broken_process_pool(svc, break_after=1,
-                                              mode="result")
-        got = svc.compile_allocation(allocation)
-        self._assert_identical(got, want)
-        assert executor.broke
-        # The first chunk ran on the injected pool, the dead chunk's
-        # programs fell back inline.
-        assert 0 < svc.stats["fallbacks"] < len(self.NAMES)
-
-    def test_next_batch_gets_a_fresh_pool(self, toronto):
-        svc = CompileService(max_workers=1, mode="process")
-        try:
-            inject_broken_process_pool(svc, break_after=0, mode="submit")
-            svc.compile_allocation(self._allocation(toronto))
-            # The broken injected pool was dropped compare-and-swap style.
-            assert svc._process_pool is None
-            allocation = self._allocation(toronto, ("fredkin", "qec_en"))
-            want = CompileService(mode="serial").compile_allocation(
-                allocation)
-            got = svc.compile_allocation(allocation)
-            self._assert_identical(got, want)
-            # ... and shipped through the fresh pool, with no fallback.
-            assert svc._process_pool is not None
-            assert svc.stats["chunks"] == 1
-            assert svc.stats["fallbacks"] == len(self.NAMES)
-        finally:
-            svc.shutdown()
-
-    def test_broken_compile_pool_job_still_completes(self, line5):
-        prov = QuantumProvider(devices=[line5], compile_mode="process")
-        try:
-            executor = inject_broken_process_pool(
-                prov.compile_service, break_after=0, mode="submit")
-            job = prov.backend(line5).run(
-                [ghz_circuit(2).measure_all()] * 3, shots=16, seed=1)
-            result = job.result()
-            assert len(result.programs) == 3
-            assert executor.broke
-        finally:
-            prov.shutdown()
 
 
 class TestKillAndResume:

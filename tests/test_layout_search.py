@@ -1,6 +1,6 @@
 """Cold-path compile optimizations: vectorized layout search vs the
 scalar reference, structural cache-key dedup across queue indices, and
-the compile service's auto/process-chunk routing."""
+the inline compile service."""
 
 import numpy as np
 import pytest
@@ -264,39 +264,14 @@ class TestStructuralCacheKey:
         assert k_a != k_b
 
 
-class TestCompileServiceRouting:
-    def test_choose_route_thresholds(self):
-        assert CompileService.choose_route(1, 65, cores=4) == "serial"
-        assert CompileService.choose_route(2, 65, cores=4) == "serial"
-        assert CompileService.choose_route(3, 27, cores=4) == "thread"
-        assert CompileService.choose_route(12, 27, cores=4) == "thread"
-        assert CompileService.choose_route(8, 30, cores=4) == "process"
-        assert CompileService.choose_route(7, 65, cores=4) == "thread"
-        # A single core never auto-routes to any pool (measured: threads
-        # ~0.9x and chunked process ~0.6x vs serial on a 1-core host).
-        assert CompileService.choose_route(8, 30, cores=1) == "serial"
-        assert CompileService.choose_route(150, 27, cores=1) == "serial"
-
-    def test_auto_tiny_batch_runs_inline(self):
-        dev = ibm_toronto()
-        circuits = [_measured(random_circuit(3, 6, seed=1))]
-        job = get_allocator("qucp").allocate(circuits, dev)
-        with CompileService(mode="auto") as svc:
-            svc.compile_allocation(job)
-            assert svc._thread_pool is None  # noqa: SLF001
-            assert svc._process_pool is None  # noqa: SLF001
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            CompileService(mode="fork")
-
-    def test_process_chunked_matches_serial(self):
-        """Chunk-sharded process compilation (fingerprint rehydration in
-        the worker) returns results identical to inline compilation."""
+class TestInlineCompileService:
+    def test_batch_matches_direct_transpile(self):
+        """Batch compilation through the service returns results
+        identical to calling the default transpiler directly."""
         dev = ibm_toronto()
         circuits = [_measured(random_circuit(3, 6, seed=s))
                     for s in range(4)]
-        # Duplicate a circuit so within-batch coalescing is exercised.
+        # Duplicate a circuit so within-batch dedup is exercised.
         circuits.append(circuits[0].copy())
         job = AllocationResult(method="test", device=dev)
         engine = get_allocator("qucp")
@@ -304,42 +279,54 @@ class TestCompileServiceRouting:
             placement = engine.best_placement(c, dev)
             job.allocations.append(ProgramAllocation(
                 i, c, placement.partition, placement.efs))
-        with CompileService(mode="serial") as ser:
-            want = ser.compile_allocation(job)
-        with CompileService(max_workers=2, mode="process") as svc:
-            got = svc.compile_allocation(job)
-            submitted = svc.stats["submitted"]
-            assert svc.stats["chunks"] >= 1
+        want = [_default_transpiler(a.circuit, dev, a)
+                for a in job.allocations]
+        svc = CompileService()
+        got = svc.compile_allocation(job)
         for a, b in zip(want, got):
             assert a.circuit == b.circuit
             assert a.initial_layout == b.initial_layout
             assert a.final_layout == b.final_layout
             assert a.num_swaps == b.num_swaps
-        # Programs 0 and 4 share a placement -> one compile between them
-        # iff their keys matched (identical placement); at minimum the
-        # service never compiles more than the unique keys.
-        assert submitted <= len(circuits)
+        # Program 4 repeats program 0 on the same placement: it hits the
+        # result program 0 published instead of compiling again.
+        assert svc.stats["submitted"] == 4
+        assert svc.stats["short_circuits"] == 1
 
-
-class TestRunBatchPrefetchRouting:
-    def test_prefetch_uses_chunked_process_path(self):
-        """run_batch's prefetch goes through submit_allocation, so an
-        explicit process-mode service shards the prefetched batch."""
+    def test_run_batch_prefetch_matches_service_free_run(self):
+        """run_batch's prefetch compiles every program once; the jobs'
+        own requests then hit, and the outcomes equal a run without a
+        service."""
         from repro.core import BatchJob, run_batch
 
         dev = ibm_toronto()
         circuits = [_measured(random_circuit(3, 6, seed=s))
                     for s in range(3)]
         job = get_allocator("qucp").allocate(circuits, dev)
-        with CompileService(max_workers=2, mode="process") as svc:
-            direct = run_batch([BatchJob(job, shots=64, seed=5)])
-            via = run_batch([BatchJob(job, shots=64, seed=5)],
-                            compile_service=svc)
-            assert svc.stats["chunks"] >= 1
-            assert svc.stats["submitted"] == 3
+        svc = CompileService()
+        direct = run_batch([BatchJob(job, shots=64, seed=5)])
+        via = run_batch([BatchJob(job, shots=64, seed=5)],
+                        compile_service=svc)
+        assert svc.stats["submitted"] == 3
+        assert svc.stats["short_circuits"] == 3
         for a, b in zip(via[0], direct[0]):
             assert a.transpiled.circuit == b.transpiled.circuit
             assert a.result.probabilities == b.result.probabilities
+
+    def test_run_batch_jobs_sharing_programs_compile_once(self):
+        from repro.core import BatchJob, run_batch
+
+        dev = ibm_toronto()
+        circuits = [_measured(random_circuit(3, 6, seed=s))
+                    for s in range(3)]
+        job = get_allocator("qucp").allocate(circuits, dev)
+        svc = CompileService()
+        outs = run_batch([BatchJob(job, shots=32, seed=1),
+                          BatchJob(job, shots=32, seed=2)],
+                         compile_service=svc)
+        assert svc.stats["submitted"] == 3
+        for a, b in zip(outs[0], outs[1]):
+            assert a.transpiled.circuit == b.transpiled.circuit
 
 
 class TestSchedulerStructuralDedup:
@@ -350,12 +337,29 @@ class TestSchedulerStructuralDedup:
         base = _measured(random_circuit(3, 6, seed=9))
         subs = [SubmittedProgram(base.copy(), arrival_ns=i * 1e5)
                 for i in range(5)]
-        with CompileService(mode="serial") as svc:
-            scheduler = CloudScheduler(dev, max_batch_size=1,
-                                       fidelity_threshold=0.0,
-                                       compile_service=svc)
-            outcome = scheduler.schedule(subs)
-            assert outcome.compile_requests == 5
-            assert svc.stats["submitted"] == 1
-            assert (svc.stats["short_circuits"]
-                    + svc.stats["coalesced"]) == 4
+        svc = CompileService()
+        scheduler = CloudScheduler(dev, max_batch_size=1,
+                                   fidelity_threshold=0.0,
+                                   compile_service=svc)
+        outcome = scheduler.schedule(subs)
+        assert outcome.compile_requests == 5
+        assert svc.stats["submitted"] == 1
+        assert svc.stats["short_circuits"] == 4
+
+    def test_every_dispatched_program_is_cached_on_return(self):
+        """Dispatch-time compiles have all landed in the service's cache
+        by the time schedule returns, ready for cache-hit execution."""
+        dev = ibm_toronto()
+        subs = [SubmittedProgram(_measured(random_circuit(3, 6, seed=s)),
+                                 arrival_ns=s * 1e4)
+                for s in range(4)]
+        svc = CompileService()
+        outcome = CloudScheduler(dev, fidelity_threshold=0.5,
+                                 compile_service=svc).schedule(subs)
+        allocs = [a for job in outcome.jobs
+                  for a in job.allocation.allocations]
+        assert len(allocs) == outcome.compile_requests == 4
+        for alloc in allocs:
+            assert svc.cache.lookup_transpile(
+                alloc.circuit, dev, alloc,
+                _default_transpiler) is not None

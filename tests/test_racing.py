@@ -1,31 +1,23 @@
-"""Hedged strategy racing: determinism, cancellation, and pool health.
+"""Best-of strategy racing: determinism and error handling.
 
 The edge cases that make racing safe to leave on in production:
 
 - equal scores resolve by candidate order, so the winner is
   deterministic and reproducible under a fixed seed;
-- first-wins cancellation actually frees the losers' pool slots;
 - a raising strategy loses the race instead of poisoning it
-  (:class:`~repro.core.RaceError` only when *every* candidate fails);
-- a broken worker pool degrades to inline serial evaluation with
-  ``stats["fallbacks"]`` incremented — same policy as the compile and
-  execution services.
+  (:class:`~repro.core.RaceError` only when *every* candidate fails).
 """
-
-import threading
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 
 from repro.core import (
     CloudScheduler,
     RaceError,
-    StrategyRace,
     SubmittedProgram,
-    race_allocations,
+    best_of,
 )
-from repro.hardware import ibm_toronto
-from repro.workloads import workload
+from repro.core import scheduler as scheduler_mod
+from repro.workloads import synthesize_traffic, workload
 
 
 def _stream(names, spacing_ns=0.0):
@@ -36,214 +28,186 @@ def _stream(names, spacing_ns=0.0):
     ]
 
 
-class TestBestMode:
+def _identity(value):
+    return value
+
+
+class TestBestOf:
     def test_lowest_score_wins(self):
-        race = StrategyRace([("a", lambda: 30), ("b", lambda: 10),
-                             ("c", lambda: 20)])
-        out = race.run()
-        assert out.winner == "b"
-        assert out.value == 10
-        assert out.score == 10
-        assert not out.fallback
+        winner, value = best_of([("a", lambda: 30), ("b", lambda: 10),
+                                 ("c", lambda: 20)], _identity)
+        assert (winner, value) == ("b", 10)
 
     def test_equal_scores_resolve_to_candidate_order(self):
         # The deterministic tie-break: every rerun commits the earliest
         # candidate, never an arbitrary dict/set ordering.
-        race = StrategyRace([("late", lambda: 7), ("early", lambda: 7)])
+        candidates = [("late", lambda: 7), ("early", lambda: 7)]
         for _ in range(5):
-            assert race.run().winner == "late"
-        flipped = StrategyRace([("early", lambda: 7), ("late", lambda: 7)])
-        assert flipped.run().winner == "early"
+            assert best_of(candidates, _identity)[0] == "late"
+        assert best_of(candidates[::-1], _identity)[0] == "early"
+
+    def test_score_orders_values_and_args_reach_every_candidate(self):
+        seen = []
+
+        def make(name, size):
+            def pack(*args):
+                seen.append((name, args))
+                return name, size
+            return pack
+
+        winner, value = best_of(
+            [("small", make("small", 1)), ("big", make("big", 3))],
+            lambda v: -v[1], "head", 4)
+        assert (winner, value) == ("big", ("big", 3))
+        assert seen == [("small", ("head", 4)), ("big", ("head", 4))]
 
     def test_raising_candidate_does_not_poison_the_race(self):
         def explode():
             raise ValueError("no placement")
 
-        race = StrategyRace([("broken", explode), ("ok", lambda: 4)])
-        out = race.run()
-        assert out.winner == "ok"
-        assert isinstance(out.errors["broken"], ValueError)
-        assert race.stats["errors"] == 1
+        assert best_of([("broken", explode), ("ok", lambda: 4)],
+                       _identity) == ("ok", 4)
+
+    def test_single_candidate_wins_alone(self):
+        assert best_of([("only", lambda: 5)], _identity) == ("only", 5)
+
+    def test_score_is_taken_once_per_surviving_candidate(self):
+        scored = []
+
+        def score(value):
+            scored.append(value)
+            return value
+
+        def explode():
+            raise ValueError("no placement")
+
+        best_of([("a", lambda: 2), ("b", explode), ("c", lambda: 1)],
+                score)
+        assert scored == [2, 1]
+
+    def test_interrupts_are_not_absorbed(self):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            best_of([("a", interrupt), ("b", lambda: 1)], _identity)
+
+    def test_race_error_names_every_failure(self):
+        def fail(message):
+            def fn():
+                raise RuntimeError(message)
+            return fn
+
+        with pytest.raises(RaceError) as info:
+            best_of([("first", fail("disk")), ("second", fail("net"))],
+                    _identity)
+        assert "first: RuntimeError('disk')" in str(info.value)
+        assert "second: RuntimeError('net')" in str(info.value)
 
     def test_all_candidates_failing_raises_race_error(self):
         def explode():
             raise ValueError("boom")
 
-        race = StrategyRace([("a", explode), ("b", explode)])
-        with pytest.raises(RaceError, match="all 2 race candidates"):
-            race.run()
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            StrategyRace([("a", lambda: 1), ("a", lambda: 2)])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            StrategyRace([("a", lambda: 1)], mode="psychic")
+        with pytest.raises(RaceError, match="all 2 race candidates") as info:
+            best_of([("a", explode), ("b", explode)], _identity)
+        assert set(info.value.errors) == {"a", "b"}
+        assert isinstance(info.value.errors["a"], ValueError)
 
 
-class TestFirstMode:
-    def test_first_success_wins_and_cancellation_frees_slots(self):
-        # One worker, three candidates: only the first ever runs; the
-        # two queued losers are cancelled, so their slots free up for
-        # unrelated work immediately.
-        release = threading.Event()
-
-        def fast():
-            return "fast-value"
-
-        def slow():  # pragma: no cover - must be cancelled before running
-            release.wait(5.0)
-            return "slow-value"
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            race = StrategyRace([("fast", fast), ("slow1", slow),
-                                 ("slow2", slow)], mode="first",
-                                executor=pool)
-            out = race.run()
-            assert out.winner == "fast"
-            assert out.value == "fast-value"
-            assert set(out.cancelled) == {"slow1", "slow2"}
-            assert race.stats["cancelled"] == 2
-            # The slot is genuinely free: a fresh task runs at once
-            # instead of queueing behind 2x5s of zombie losers.
-            assert pool.submit(lambda: 42).result(timeout=2.0) == 42
-        release.set()
-
-    def test_error_then_success(self):
-        started = threading.Event()
-
-        def explode():
-            raise RuntimeError("strategy crashed")
-
-        def survivor():
-            started.wait(5.0)
-            return "ok"
-
-        race = StrategyRace([("crash", explode), ("live", survivor)],
-                            mode="first")
-        started.set()
-        out = race.run()
-        race.shutdown()
-        assert out.winner == "live"
-        assert isinstance(out.errors["crash"], RuntimeError)
-
-    def test_all_fail_raises_race_error(self):
-        def explode():
-            raise RuntimeError("down")
-
-        race = StrategyRace([("a", explode), ("b", explode)], mode="first")
-        with pytest.raises(RaceError):
-            race.run()
-        race.shutdown()
-
-    def test_deterministic_winner_on_simultaneous_completion(self):
-        # Exact simultaneity: a synchronous executor completes every
-        # candidate before the race inspects the done set, so the
-        # committed winner must be the earlier candidate, every time.
-        class _SyncPool:
-            def submit(self, fn, *args, **kwargs):
-                fut = Future()
-                fut.set_result(fn(*args, **kwargs))
-                return fut
-
-            def shutdown(self, wait=True):
-                pass
-
-        for _ in range(3):
-            race = StrategyRace([("a", lambda: "a"), ("b", lambda: "b")],
-                                mode="first", executor=_SyncPool())
-            out = race.run()
-            assert out.winner == "a"
-            assert out.cancelled == ()
+def _sorted_best_of(candidates, score, *args):
+    """The former evaluate-all-then-sort selection, kept as the
+    reference the in-order loop must reproduce."""
+    evaluated = []
+    for order, (name, fn) in enumerate(candidates):
+        try:
+            value = fn(*args)
+        except Exception:  # noqa: BLE001 - a raising candidate loses
+            continue
+        evaluated.append((score(value), order, name, value))
+    evaluated.sort(key=lambda item: (item[0], item[1]))
+    _, _, name, value = evaluated[0]
+    return name, value
 
 
-class _BrokenSubmitPool:
-    """A process pool whose submit immediately reports it terminated."""
-
-    def submit(self, *args, **kwargs):
-        raise BrokenExecutor("process pool is terminated")
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class _DyingWorkerPool:
-    """Accepts work, but every worker dies before finishing it."""
-
-    def submit(self, *args, **kwargs):
-        fut = Future()
-        fut.set_exception(BrokenExecutor("worker died"))
-        return fut
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class TestPoolHealth:
-    def test_broken_submit_degrades_best_mode_inline(self):
-        race = StrategyRace([("a", lambda: 2), ("b", lambda: 1)],
-                            executor=_BrokenSubmitPool())
-        out = race.run()
-        assert out.winner == "b"
-        assert out.fallback
-        assert race.stats["fallbacks"] == 1
-
-    def test_dying_workers_rerun_candidates_inline(self):
-        # A BrokenExecutor result is pool health, not strategy health:
-        # the candidate is re-evaluated inline, not recorded as failed.
-        race = StrategyRace([("a", lambda: 2), ("b", lambda: 1)],
-                            executor=_DyingWorkerPool())
-        out = race.run()
-        assert out.winner == "b"
-        assert out.fallback
-        assert out.errors == {}
-        assert race.stats["fallbacks"] == 1
-        assert race.stats["errors"] == 0
-
-    def test_broken_pool_degrades_first_mode_inline(self):
-        race = StrategyRace([("a", lambda: "a"), ("b", lambda: "b")],
-                            mode="first", executor=_BrokenSubmitPool())
-        out = race.run()
-        assert out.winner == "a"  # inline fallback follows candidate order
-        assert out.fallback
-        assert race.stats["fallbacks"] == 1
-
-    def test_inline_fallback_still_raises_real_errors(self):
-        def explode():
-            raise ValueError("genuine failure")
-
-        race = StrategyRace([("only", explode)],
-                            executor=_BrokenSubmitPool())
-        with pytest.raises(RaceError):
-            race.run()
-        assert race.stats["fallbacks"] == 1
-
-
-class TestRaceAllocations:
-    def test_reproducible_winner_and_placements(self):
-        device = ibm_toronto()
-        circuits = [workload(n).circuit() for n in ("adder", "bell", "lin")]
-        first_alloc, first_out = race_allocations(
-            circuits, device, strategies=("qucp", "cna", "qumc"))
-        again_alloc, again_out = race_allocations(
-            circuits, device, strategies=("qucp", "cna", "qumc"))
-        assert first_out.winner == again_out.winner
-        assert first_out.score == again_out.score
-        assert ([a.partition for a in first_alloc.allocations]
-                == [a.partition for a in again_alloc.allocations])
-        assert len(first_alloc.allocations) == len(circuits)
-
-    def test_winner_has_lowest_mean_efs(self):
-        device = ibm_toronto()
-        circuits = [workload(n).circuit() for n in ("adder", "bell")]
-        alloc, out = race_allocations(circuits, device,
-                                      strategies=("qucp", "qumc"))
-        mean = sum(a.efs for a in alloc.allocations) / len(alloc.allocations)
-        assert out.score == pytest.approx(mean)
+def _racing_traffic(seed):
+    # The bench_scheduler racing point: heavy-tail mix, 0.2 ms
+    # interarrival, threshold 0.5 — where challengers win dispatches.
+    return synthesize_traffic(20, pattern="poisson",
+                              mean_interarrival_ns=2e5, mix="heavy_tail",
+                              seed=seed)
 
 
 class TestSchedulerRacing:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_raced_schedule_matches_the_sorted_reference(
+            self, toronto, seed, monkeypatch):
+        subs = _racing_traffic(seed)
+
+        def run():
+            return CloudScheduler(
+                toronto, fidelity_threshold=0.5,
+                race_allocators=("qumc", "qucloud")).schedule(subs)
+
+        got = run()
+        monkeypatch.setattr(scheduler_mod, "best_of", _sorted_best_of)
+        want = run()
+        assert got.to_dict() == want.to_dict()
+
+    def test_challenger_wins_are_recorded_under_its_name(self, toronto):
+        out = CloudScheduler(
+            toronto, fidelity_threshold=0.5,
+            race_allocators=("qumc", "qucloud")).schedule(
+                _racing_traffic(7))
+        assert sum(out.race_wins.values()) == out.num_jobs
+        assert set(out.race_wins) - {"qucp"}
+
+    def test_raising_challenger_never_changes_the_schedule(self, toronto):
+        subs = _racing_traffic(7)
+        plain = CloudScheduler(toronto,
+                               fidelity_threshold=0.5).schedule(subs)
+        scheduler = CloudScheduler(toronto, fidelity_threshold=0.5,
+                                   race_allocators=("qumc",))
+        pack = scheduler._pack_batch  # noqa: SLF001
+
+        def pack_or_fail(allocator, *args):
+            if allocator.name == "qumc":
+                raise RuntimeError("challenger crashed")
+            return pack(allocator, *args)
+
+        scheduler._pack_batch = pack_or_fail  # noqa: SLF001
+        raced = scheduler.schedule(subs)
+        assert raced.race_wins == {"qucp": raced.num_jobs}
+        assert ([j.members for j in raced.jobs]
+                == [j.members for j in plain.jobs])
+        assert raced.makespan_ns == plain.makespan_ns
+
+    def test_every_candidate_raising_fails_the_schedule(self, toronto):
+        scheduler = CloudScheduler(toronto,
+                                   race_allocators=("qumc", "qucloud"))
+
+        def fail(*args):
+            raise RuntimeError("no pack")
+
+        scheduler._pack_batch = fail  # noqa: SLF001
+        with pytest.raises(RaceError, match="all 3 race candidates"):
+            scheduler.schedule(_stream(["adder", "bell"]))
+
+    def test_pack_score_prefers_more_programs_then_lower_efs(self):
+        class _Alloc:
+            def __init__(self, efs):
+                self.efs = efs
+
+        class _Batch:
+            def __init__(self, *efs):
+                self.allocations = [_Alloc(e) for e in efs]
+
+        score = CloudScheduler._pack_score  # noqa: SLF001
+        two = score((_Batch(0.4, 0.6), [0, 1]))
+        two_better = score((_Batch(0.1, 0.3), [0, 1]))
+        one = score((_Batch(0.0), [0]))
+        empty = score((_Batch(), []))
+        assert two_better < two < one < empty
+
     def test_race_wins_recorded_and_reproducible(self, toronto):
         subs = _stream(["adder", "bell", "lin", "fredkin"], spacing_ns=1e5)
         scheduler = CloudScheduler(toronto,
@@ -270,6 +234,12 @@ class TestSchedulerRacing:
             self, toronto):
         with pytest.raises(ValueError, match="incremental"):
             CloudScheduler(toronto, race_allocators=("cna",))
+
+    def test_race_executor_knob_is_gone(self, toronto):
+        # Candidates pack inline, in order; there is no pool to pass.
+        with pytest.raises(TypeError):
+            CloudScheduler(toronto, race_allocators=("qumc",),
+                           race_executor=None)
 
     def test_duplicate_challenger_is_dropped(self, toronto):
         # Racing the primary against itself is a no-op; the scheduler

@@ -4,14 +4,12 @@ A scheduler-backed facade job must reproduce a direct
 ``CloudScheduler.schedule`` + ``run_batch`` drive of the engine layer
 **bit-identically**: same seeds in, same dispatch decisions, same queue
 timings, same sampled counts out.  Also covers the
-``CompileService(mode="auto")`` degenerate routes reached through the
-Job path — batch of 1, single-partition allocations, and the inline
-fallback when the process pool is broken.
+inline compile service's degenerate batches reached through the Job
+path — batch of 1, single-partition allocations, and a wider batch
+against a service-free run.
 """
 
 import math
-import os
-from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
@@ -168,113 +166,44 @@ class TestSchedulerEquivalence:
 
 
 # ----------------------------------------------------------------------
-# auto-mode degenerate routes through the Job path
+# degenerate batches through the Job path
 # ----------------------------------------------------------------------
 
-class TestAutoRouteDegenerates:
-    def test_batch_of_one_runs_inline(self):
-        with QuantumProvider(compile_mode="auto") as prov:
+class TestInlineCompileDegenerates:
+    def test_batch_of_one(self):
+        with QuantumProvider() as prov:
             job = prov.simulator("ibm_toronto").run(
                 workload("adder").circuit(), shots=64, seed=1)
             result = job.result()
-        svc = prov.compile_service
-        # One program -> serial route: compiled inline, no pool spun up.
-        assert svc._thread_pool is None
-        assert svc._process_pool is None
-        assert svc.stats["submitted"] == 1
+        assert prov.compile_service.stats["submitted"] == 1
         assert result.programs[0].counts
 
     def test_single_partition_allocation_through_scheduler(self):
-        with QuantumProvider(compile_mode="auto") as prov:
+        with QuantumProvider() as prov:
             backend = prov.backend("ibm_toronto", max_batch_size=1)
             subs = [SubmittedProgram(workload("adder").circuit()),
                     SubmittedProgram(workload("bell").circuit())]
             result = backend.run(subs, shots=64, seed=7).result()
-        svc = prov.compile_service
-        # Every dispatched batch holds one program -> all serial.
-        assert svc._process_pool is None
-        assert svc._thread_pool is None
         assert result.schedule.num_jobs == 2
         assert len(result.programs) == 2
 
-    def test_wider_batch_takes_thread_route(self):
-        with QuantumProvider(compile_mode="auto") as prov:
-            circuits = [workload(n).circuit()
-                        for n in ("adder", "bell", "lin", "var")]
-            result = prov.simulator("ibm_toronto").run(
-                circuits, shots=0, seed=1).result()
-        svc = prov.compile_service
-        # 4 programs on a 27q device: threads on multi-core hosts,
-        # serial on a single core — never the process pool.
-        if (os.cpu_count() or 1) > 1:
-            assert svc._thread_pool is not None
-        else:
-            assert svc._thread_pool is None
-        assert svc._process_pool is None
-        assert len(result.programs) == 4
-
-    def _broken_submit_pool(self):
-        class _BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise BrokenExecutor("process pool is terminated")
-
-            def shutdown(self, wait=True):
-                pass
-        return _BrokenPool()
-
-    def _dying_worker_pool(self):
-        class _DyingPool:
-            def submit(self, *args, **kwargs):
-                fut = Future()
-                fut.set_exception(BrokenExecutor("worker died"))
-                return fut
-
-            def shutdown(self, wait=True):
-                pass
-        return _DyingPool()
-
-    def test_broken_pool_falls_back_inline_through_job_path(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._process_pool = (
-                self._broken_submit_pool())
-            circuits = [workload(n).circuit()
-                        for n in ("adder", "bell", "lin")]
+    def test_wider_batch_matches_a_service_free_run(self):
+        circuits = [workload(n).circuit()
+                    for n in ("adder", "bell", "lin", "var")]
+        with QuantumProvider() as prov:
             job = prov.simulator("ibm_toronto").run(circuits, shots=64,
                                                     seed=5)
             result = job.result()
             assert job.status() is JobStatus.DONE
-        assert prov.compile_service.stats["fallbacks"] == 3
-        # The fallback compiles are real: counts match a service-free run.
-        device = ibm_toronto()
-        want = execute_allocation(qucp_allocate(circuits, device),
+        assert prov.compile_service.stats["submitted"] == 4
+        want = execute_allocation(qucp_allocate(circuits, ibm_toronto()),
                                   shots=64, seed=5)
+        assert len(result.programs) == 4
         for prog, ref in zip(result.programs, want):
             assert prog.counts == ref.result.counts
 
-    def test_mid_chunk_worker_death_falls_back_inline(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._process_pool = self._dying_worker_pool()
-            circuits = [workload(n).circuit() for n in ("adder", "bell")]
-            result = prov.simulator("ibm_toronto").run(
-                circuits, shots=32, seed=2).result()
-        assert prov.compile_service.stats["fallbacks"] == 2
-        assert len(result.programs) == 2
-        assert all(p.counts for p in result.programs)
-
-    def test_broken_pool_is_replaced_for_the_next_batch(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            svc = prov.compile_service
-            svc._process_pool = self._broken_submit_pool()
-            circuits = [workload(n).circuit() for n in ("adder", "bell")]
-            prov.simulator("ibm_toronto").run(circuits, shots=0,
-                                              seed=1).result()
-            assert svc.stats["fallbacks"] == 2
-            # The dead pool was dropped: the next process-route batch
-            # builds a real pool instead of falling back forever.
-            assert svc._process_pool is None
-
-    def test_non_pool_errors_still_propagate(self):
-        svc = CompileService(mode="serial")
+    def test_compile_errors_propagate(self):
+        svc = CompileService()
 
         def broken_transpiler(circuit, device, allocation):
             raise RuntimeError("bad hook")

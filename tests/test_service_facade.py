@@ -18,6 +18,7 @@ import repro
 from repro.circuits import ghz_circuit
 from repro.core import (
     CloudScheduler,
+    CompileService,
     ScheduleOutcome,
     SubmittedProgram,
     UnknownAllocatorError,
@@ -136,6 +137,36 @@ class TestProvider:
                        dict(execution_workers=2)):
             with pytest.raises(TypeError):
                 QuantumProvider(**kwargs)
+
+    def test_compile_pool_knobs_are_gone(self):
+        # Compiles run inline in the shared coalescing service.
+        for kwargs in (dict(compile_mode="process"),
+                       dict(compile_workers=2)):
+            with pytest.raises(TypeError):
+                QuantumProvider(**kwargs)
+        for kwargs in (dict(mode="thread"), dict(max_workers=2)):
+            with pytest.raises(TypeError):
+                CompileService(**kwargs)
+
+    def test_compile_service_publishes_into_the_provider_cache(
+            self, provider):
+        assert provider.compile_service.cache is provider.cache
+        provider.simulator("ibm_toronto").run(
+            small_programs(), shots=0).result()
+        assert provider.cache_stats()["submitted"] > 0
+        assert provider.cache.transpile_misses > 0
+
+    def test_compile_service_stays_usable_after_shutdown(self):
+        # Shutdown stops the job pool only; the compile service owns no
+        # threads, so engine-level callers can keep compiling.
+        prov = QuantumProvider()
+        prov.shutdown()
+        device = prov.device("ibm_toronto")
+        job = qucp_allocate(small_programs(), device)
+        got = prov.compile_service.compile_allocation(job)
+        assert len(got) == len(job.allocations)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("compile-service")]
 
     def test_submit_after_shutdown_refused(self):
         prov = QuantumProvider()
